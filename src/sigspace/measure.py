@@ -1,10 +1,17 @@
 """The invariant measure density sqrt|det Q_IJ| and Monte-Carlo experiments.
 
-The density is evaluated from the natural metric; closed forms printed
-for n <= 2 serve as cross-checks.  Monte-Carlo integration runs over
-explicit boxes in packed coordinates with a signature rejection filter,
-using a counter-based generator (Philox) with fixed chunking so that a
-seed determines the stream regardless of worker count.
+The pointwise ``density`` is evaluated from the natural metric; closed
+forms printed for n <= 2 serve as cross-checks.  Monte-Carlo integration
+uses the equal closed form 2^(n(n-1)/4) |det gamma|^(-(n+1)/2), with
+det gamma the product of the eigenvalues the signature filter already
+computes.  The two agree because Q_IJ = trace(E_I gamma^-1 E_J gamma^-1)
+is the trace pairing, of determinant 2^(n(n-1)/2) in packed coordinates,
+composed with the congruence X -> gamma^-1 X gamma^-1, whose packed
+Jacobian has determinant (det gamma)^-(n+1) (see congruence_jacobian).
+Monte-Carlo integration runs over explicit boxes in packed coordinates
+with a signature rejection filter, using a counter-based generator
+(Philox) with fixed chunking so that a seed determines the stream
+regardless of worker count.
 """
 from __future__ import annotations
 
@@ -16,7 +23,7 @@ import numpy as np
 
 from .errors import EmptyDomain, UnsupportedDimension
 from .forms import DEGENERACY_RTOL, Signature, SymmetricForm, inverse_form
-from .geometry import _metric_from_inverse, metric_components
+from .geometry import metric_components
 from .group import GroupElement, act, action_jacobian
 from .packing import congruence_jacobian, packed_dim, unpack
 
@@ -126,28 +133,31 @@ def pushforward_invariance_residual(g: GroupElement, S: SymmetricForm) -> float:
     return abs(moved - density(S).value)
 
 
-def _signature_mask(mats: np.ndarray, sig: Signature, rtol: float) -> np.ndarray:
+def _signature_mask(mats: np.ndarray, sig: Signature, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(mask of nondegenerate rows of signature sig, eigenvalues of every row)."""
     eigs = np.linalg.eigvalsh(mats)
     scale = np.max(np.abs(mats), axis=(-1, -2))
     nondeg = np.min(np.abs(eigs), axis=-1) >= rtol * np.maximum(scale, 1e-300)
     pos = np.sum(eigs > 0.0, axis=-1)
-    return nondeg & (pos == sig.p)
+    return nondeg & (pos == sig.p), eigs
 
 
-def _density_batch(mats: np.ndarray) -> np.ndarray:
-    Q = _metric_from_inverse(np.linalg.inv(mats))
-    return np.sqrt(np.abs(np.linalg.det(Q)))
+def _density_batch(eigs: np.ndarray) -> np.ndarray:
+    """sqrt|det Q| per row of eigenvalues: 2^(n(n-1)/4) |prod eigs|^(-(n+1)/2)."""
+    n = eigs.shape[-1]
+    return 2.0 ** (n * (n - 1) / 4.0) * np.abs(np.prod(eigs, axis=-1)) ** (-(n + 1) / 2.0)
 
 
 def _chunk_sums(f, box, seed, start, count, vectorized, rtol):
+    """(sum, sum of squares about the chunk mean, accepted count) of f * density."""
     bitgen = np.random.Philox(seed)
     rng = np.random.Generator(bitgen.jumped(start // _CHUNK))
     coords = rng.uniform(box.lower, box.upper, size=(count, box.N))
     mats = unpack(coords, box.n)
-    accept = _signature_mask(mats, box.signature, rtol)
+    accept, eigs = _signature_mask(mats, box.signature, rtol)
     vals = np.zeros(count)
     if np.any(accept):
-        dens = _density_batch(mats[accept])
+        dens = _density_batch(eigs[accept])
         if vectorized:
             fvals = np.asarray(f(coords[accept]), dtype=float)
             if fvals.shape != (int(np.sum(accept)),):
@@ -155,7 +165,8 @@ def _chunk_sums(f, box, seed, start, count, vectorized, rtol):
         else:
             fvals = np.array([float(f(SymmetricForm(m))) for m in mats[accept]])
         vals[accept] = fvals * dens
-    return float(np.sum(vals)), float(np.sum(vals * vals)), int(np.sum(accept))
+    total = float(np.sum(vals))
+    return total, float(np.sum((vals - total / count) ** 2)), int(np.sum(accept))
 
 
 def mc_integrate(
@@ -170,7 +181,9 @@ def mc_integrate(
     """Monte-Carlo integral of f against the invariant measure over a box.
 
     Uniform proposals inside the box are rejected unless they carry the
-    box signature; accepted samples contribute f * density.  ``f`` takes
+    box signature; accepted samples contribute f * density, with the
+    density taken in closed form from the filter's eigenvalues (equal to
+    sqrt|det Q|, see the module docstring).  ``f`` takes
     a SymmetricForm, or, with vectorized=True, an (m, N) array of packed
     coordinates returning (m,) values.  Same seed, same estimate: samples
     are drawn per fixed-size chunk from jumped Philox substreams and
@@ -195,17 +208,21 @@ def mc_integrate(
             _chunk_sums(f, box, rng_seed, s, c, vectorized, degeneracy_rtol)
             for s, c in jobs
         ]
-    s1 = sum(r[0] for r in results)
-    s2 = sum(r[1] for r in results)
     n_accepted = sum(r[2] for r in results)
     if n_accepted == 0:
         raise EmptyDomain("no sample passed the signature filter")
+    # pairwise combination of chunk moments (Chan, Golub & LeVeque 1979),
+    # in chunk order so that the result does not depend on ``threads``
+    s1, m2, seen = 0.0, 0.0, 0
+    for (_, count), (total, chunk_m2, _) in zip(jobs, results):
+        delta = total / count - (s1 / seen if seen else 0.0)
+        m2 += chunk_m2 + delta * delta * seen * count / (seen + count)
+        s1 += total
+        seen += count
     vol = box.volume
-    mean = s1 / n_samples
-    var = max(0.0, (s2 - n_samples * mean * mean) / (n_samples - 1))
     return MCEstimate(
-        value=vol * mean,
-        std_error=vol * math.sqrt(var / n_samples),
+        value=vol * (s1 / n_samples),
+        std_error=vol * math.sqrt(m2 / (n_samples - 1) / n_samples),
         n_samples=n_samples,
         n_accepted=n_accepted,
     )

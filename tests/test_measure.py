@@ -17,7 +17,9 @@ from sigspace import (
     radial_bump,
     random_form,
 )
-from sigspace.packing import congruence_jacobian
+from sigspace.forms import DEGENERACY_RTOL
+from sigspace.measure import _density_batch, _signature_mask
+from sigspace.packing import congruence_jacobian, pack, unpack
 
 
 def _random_group(rng, n, max_cond=10.0):
@@ -48,6 +50,21 @@ class TestDensity:
             S = random_form(Signature(p, n - p), rng, max_condition=10)
             expected = 2.0 ** (n * (n - 1) / 4.0) * abs(np.linalg.det(S.entries)) ** (-(n + 1) / 2.0)
             assert abs(density(S).value - expected) < 1e-8 * expected
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_batch_route_matches_metric_route(self, n):
+        # the Monte-Carlo route (filter eigenvalues -> closed form) against
+        # sqrt|det Q| row by row, for every signature
+        rng = np.random.default_rng(100 + n)
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            forms = [random_form(sig, rng, max_condition=10) for _ in range(200)]
+            accept, eigs = _signature_mask(np.array([S.entries for S in forms]), sig, DEGENERACY_RTOL)
+            assert accept.all()
+            batch = _density_batch(eigs)
+            pointwise = np.array([density(S).value for S in forms])
+            np.testing.assert_allclose(batch, pointwise, rtol=1e-10, atol=0.0)
 
 
 class TestDensityClosedForm:
@@ -165,6 +182,29 @@ class TestMCIntegrate:
         large = mc_integrate(f, box, rng_seed=7, n_samples=200000, vectorized=True)
         ratio = small.std_error / large.std_error
         assert abs(ratio - np.sqrt(2.0)) < 0.2 * np.sqrt(2.0)
+
+    @pytest.mark.parametrize("width", [1e-4, 1e-8])
+    def test_std_error_on_narrow_box(self, width):
+        # f = 1 on [1, 1 + w]: the weighted values 1/gamma spread by about
+        # w / sqrt(12), so std_error = w^2 / sqrt(12 N) to leading order; a
+        # raw sum of squares loses every digit of it to cancellation
+        n_samples = 200000
+        box = BoxDomain(Signature(1, 0), [1.0], [1.0 + width])
+        est = mc_integrate(lambda coords: np.ones(len(coords)), box, 13, n_samples, vectorized=True)
+        analytic = width**2 / np.sqrt(12.0 * n_samples)
+        assert abs(est.std_error - analytic) < 0.1 * analytic
+
+    def test_n5_against_pointwise_reference(self):
+        # every entry within 0.1 of diag(1,1,1,-1,-1) moves the spectrum by
+        # at most 5 * 0.1 < 1, so each proposal keeps signature (3, 2)
+        center = pack(np.diag([1.0, 1.0, 1.0, -1.0, -1.0]))
+        box = BoxDomain(Signature(3, 2), center - 0.1, center + 0.1)
+        est = mc_integrate(lambda coords: np.ones(len(coords)), box, 14, 2 * 65536, vectorized=True)
+        assert est.n_accepted == est.n_samples
+        draws = np.random.default_rng(15).uniform(box.lower, box.upper, size=(4096, box.N))
+        vals = box.volume * np.array([density(SymmetricForm(m)).value for m in unpack(draws, 5)])
+        ref, ref_error = vals.mean(), vals.std(ddof=1) / np.sqrt(len(vals))
+        assert abs(est.value - ref) < 5.0 * np.hypot(est.std_error, ref_error)
 
     def test_signature_filter_counts(self):
         # around the identity some draws in this box are indefinite
