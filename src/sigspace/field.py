@@ -15,10 +15,8 @@ import numpy as np
 from .errors import GridTooCoarse, PointNotInField, SignatureMismatch, SingularFrame
 from .forms import Signature, SymmetricForm, signature_of
 from . import measure
-from .group import gl_plus_path, lazy_smoothstep, transitive_witness
+from .group import gl_plus_path, is_singular, lazy_smoothstep, transitive_witness
 from .packing import congruence_jacobian
-
-_DET_FLOOR = 1e-12
 
 
 class PointChart:
@@ -28,7 +26,7 @@ class PointChart:
 
     def __init__(self, point_id, frame):
         frame = np.array(frame, dtype=float)
-        if abs(np.linalg.det(frame)) <= _DET_FLOOR:
+        if is_singular(frame):
             raise SingularFrame(f"frame at point {point_id!r} is singular")
         frame.flags.writeable = False
         self.point_id = point_id
@@ -82,7 +80,7 @@ class DiffeoJacobianField:
         clean = {}
         for point, (image, jac) in mapping.items():
             jac = np.array(jac, dtype=float)
-            if abs(np.linalg.det(jac)) <= _DET_FLOOR:
+            if is_singular(jac):
                 raise SingularFrame(f"Jacobian at point {point!r} is singular")
             jac.flags.writeable = False
             clean[point] = (image, jac)

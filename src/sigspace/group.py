@@ -15,7 +15,23 @@ from .errors import DegenerateForm, NotInvariantSubspace, SignatureMismatch, Sin
 from .forms import SymmetricForm, signature_of
 from .packing import congruence_jacobian
 
-_DET_FLOOR = 1e-12
+# A matrix counts as singular when its smallest singular value is at most
+# this fraction of its largest (condition number 1e9 or more): past that
+# its inverse keeps too few digits for the 1e-8 invariance contracts.
+SINGULAR_RTOL = 1e-9
+
+
+def is_singular(matrix) -> bool:
+    """Whether sigma_min <= SINGULAR_RTOL sigma_max, or some entry is not finite.
+
+    Scale-aware, unlike a floor on |det|: 1e-5 I is invertible, while a
+    matrix of condition number 4e9 is not, whatever its determinant.
+    """
+    a = np.asarray(matrix, dtype=float)
+    if not np.all(np.isfinite(a)):
+        return True
+    sigma = np.linalg.svd(a, compute_uv=False)
+    return not sigma[-1] > SINGULAR_RTOL * sigma[0]
 
 
 class GroupElement:
@@ -29,8 +45,8 @@ class GroupElement:
             raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("group element entries must be finite")
-        if abs(np.linalg.det(a)) <= _DET_FLOOR:
-            raise SingularGroupElement(f"|det| = {abs(np.linalg.det(a)):.3e} <= {_DET_FLOOR:.1e}")
+        if is_singular(a):
+            raise SingularGroupElement(f"sigma_min <= {SINGULAR_RTOL:.0e} sigma_max")
         a.flags.writeable = False
         self.n = int(a.shape[0])
         self.entries = a

@@ -3,7 +3,7 @@
 The pointwise ``density`` is evaluated from the natural metric; closed
 forms printed for n <= 2 serve as cross-checks.  Monte-Carlo integration
 uses the equal closed form 2^(n(n-1)/4) |det gamma|^(-(n+1)/2), with
-det gamma the product of the eigenvalues the signature filter already
+det gamma the product of the diagonal the signature filter already
 computes.  The two agree because Q_IJ = trace(E_I gamma^-1 E_J gamma^-1)
 is the trace pairing, of determinant 2^(n(n-1)/2) in packed coordinates,
 composed with the congruence X -> gamma^-1 X gamma^-1, whose packed
@@ -11,7 +11,14 @@ Jacobian has determinant (det gamma)^-(n+1) (see congruence_jacobian).
 Monte-Carlo integration runs over explicit boxes in packed coordinates
 with a signature rejection filter, using a counter-based generator
 (Philox) with fixed chunking so that a seed determines the stream
-regardless of worker count.
+regardless of worker count.  The filter factors every sample as LDL^T,
+vectorised across the chunk on the packed coordinates; a backward-error
+bound certifies the inertia (the signature, by Sylvester's law) and the
+distance from degeneracy of almost every row, and the rows it cannot
+certify (zero pivots, large growth, near-degenerate forms) are decided by
+their eigenvalues.  Either way the filter accepts exactly the rows the
+eigenvalue test accepts, for any degeneracy tolerance well above
+rounding (such as the default DEGENERACY_RTOL).
 """
 from __future__ import annotations
 
@@ -133,7 +140,82 @@ def pushforward_invariance_residual(g: GroupElement, S: SymmetricForm) -> float:
     return abs(moved - density(S).value)
 
 
-def _signature_mask(mats: np.ndarray, sig: Signature, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+# Unit roundoff of binary64.
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+# Factor on the LDL^T backward-error bound delta (see _ldl_certificate).
+# Its slack, 3 gamma_{n+1} w, covers the rounding in evaluating the
+# certificate: the eigenvalue bound is at most w and is computed to a
+# relative gamma_{2n+1}.
+_LDL_SAFETY = 4.0
+# Rows with w above this multiple of n max |gamma_ij| fall back to the
+# eigenvalues: with more growth the pivot product loses clearly more
+# digits of det gamma than the eigenvalues do.
+_LDL_MAX_GROWTH = 64.0
+# Rows whose largest entry lies outside this range fall back too, so that
+# no product or quotient in the certificate can underflow or overflow.
+_LDL_SCALE_RANGE = (1e-100, 1e100)
+# Rows per elimination pass, so that the working rows stay in cache.
+_LDL_BLOCK = 8192
+
+
+def _ldl_certificate(coords: np.ndarray, n: int, rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(certified rows, positive pivot counts, (n, m) pivots) of an unpivoted LDL^T per row.
+
+    The elimination runs on the upper triangle of the packed rows, with
+    one numpy operation per pair of packed coordinates across the whole
+    batch: numpy combines rows elementwise far faster than it reduces
+    across them.  The computed factors are the exact LDL^T of a
+    symmetric gamma + E with |E| <= gamma_{n+1} |L| |D| |L|^T (Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 9.3, with one
+    more rounding for the multipliers), so ||E||_2 <= delta, taken as
+    _LDL_SAFETY gamma_{n+1} w with w = sum_k |d_k| (1 + sum_{i>k} l_ik^2).
+    By Sylvester's law of inertia the pivot signs give the signature of
+    gamma + E, and prod |d_k| = |det(gamma + E)|.  As ||gamma + E||_2 <=
+    F = n max |gamma_ij| + delta, every eigenvalue of gamma + E has
+    modulus at least prod |d_k| / F^(n-1), and by Weyl's inequality those
+    of gamma lie within delta of them.  A row is certified when this
+    lower bound on min |lambda(gamma)| is positive and at least
+    2 rtol max |gamma_ij|, and w is at most _LDL_MAX_GROWTH n max |gamma_ij|:
+    its inertia is then the pivot count, it passes the degeneracy test
+    with room to spare, and its pivot product is about as accurate as
+    the eigenvalues' one.  Zero or non-finite pivots, large growth and
+    near-degenerate rows all fail.
+    """
+    slots = [k * n - k * (k - 1) // 2 for k in range(n)]  # packed index of (k, k)
+    a = np.array(coords.T)  # row r holds packed coordinate r of every sample
+    scale = np.abs(a[0])
+    for row in a[1:]:
+        np.maximum(scale, np.abs(row), out=scale)
+    pivots = np.empty((n, a.shape[1]))
+    weight = np.zeros(a.shape[1])
+    positive = np.zeros(a.shape[1], dtype=np.int8)
+    with np.errstate(all="ignore"):
+        for k, s in enumerate(slots):
+            pivot = pivots[k] = a[s]
+            positive += pivot > 0.0
+            weight += np.abs(pivot)
+            for t, i in enumerate(range(k + 1, n)):
+                # l_ik times row k from column i on; its first entry is l_ik^2 d_k
+                update = (a[s + 1 + t] / pivot) * a[s + 1 + t : s + n - k]
+                weight += np.abs(update[0])
+                a[slots[i] : slots[i] + n - i] -= update
+        delta = _LDL_SAFETY * (n + 1) * _UNIT_ROUNDOFF / (1.0 - (n + 1) * _UNIT_ROUNDOFF) * weight
+        norm = n * scale + delta  # F
+        lower = norm.copy()
+        for pivot in pivots:
+            lower *= np.abs(pivot) / norm
+        lower -= delta
+        certified = (
+            (lower > 0.0)
+            & (lower >= 2.0 * rtol * scale)
+            & (weight <= _LDL_MAX_GROWTH * n * scale)
+            & (scale > _LDL_SCALE_RANGE[0])
+            & (scale < _LDL_SCALE_RANGE[1])
+        )
+    return certified, positive, pivots
+
+
+def _eigen_mask(mats: np.ndarray, sig: Signature, rtol: float) -> tuple[np.ndarray, np.ndarray]:
     """(mask of nondegenerate rows of signature sig, eigenvalues of every row)."""
     eigs = np.linalg.eigvalsh(mats)
     scale = np.max(np.abs(mats), axis=(-1, -2))
@@ -142,10 +224,36 @@ def _signature_mask(mats: np.ndarray, sig: Signature, rtol: float) -> tuple[np.n
     return nondeg & (pos == sig.p), eigs
 
 
-def _density_batch(eigs: np.ndarray) -> np.ndarray:
-    """sqrt|det Q| per row of eigenvalues: 2^(n(n-1)/4) |prod eigs|^(-(n+1)/2)."""
-    n = eigs.shape[-1]
-    return 2.0 ** (n * (n - 1) / 4.0) * np.abs(np.prod(eigs, axis=-1)) ** (-(n + 1) / 2.0)
+def _signature_mask(coords: np.ndarray, sig: Signature, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(mask of nondegenerate rows of signature sig, diagonal of every row).
+
+    ``coords`` holds packed rows.  Rows certified by the batched LDL^T
+    (see _ldl_certificate) are decided by their pivot signs, and their
+    diagonal is the pivots; every other row is unpacked and decided by
+    _eigen_mask, its diagonal being the eigenvalues.  Either way the
+    product of a row's diagonal is its determinant, and the mask equals
+    _eigen_mask's row for row whenever rtol is well above the rounding
+    error of the eigenvalues.
+    """
+    n = sig.n
+    certified = np.empty(len(coords), dtype=bool)
+    positive = np.empty(len(coords), dtype=np.int8)
+    diag = np.empty((len(coords), n))
+    for start in range(0, len(coords), _LDL_BLOCK):
+        rows = slice(start, start + _LDL_BLOCK)
+        certified[rows], positive[rows], pivots = _ldl_certificate(coords[rows], n, rtol)
+        diag[rows] = pivots.T
+    mask = certified & (positive == sig.p)
+    fallback = ~certified
+    if np.any(fallback):
+        mask[fallback], diag[fallback] = _eigen_mask(unpack(coords[fallback], n), sig, rtol)
+    return mask, diag
+
+
+def _density_batch(diag: np.ndarray) -> np.ndarray:
+    """sqrt|det Q| per row of filter diagonals: 2^(n(n-1)/4) |prod diag|^(-(n+1)/2)."""
+    n = diag.shape[-1]
+    return 2.0 ** (n * (n - 1) / 4.0) * np.abs(np.prod(diag, axis=-1)) ** (-(n + 1) / 2.0)
 
 
 def _chunk_sums(f, box, seed, start, count, vectorized, rtol):
@@ -153,17 +261,17 @@ def _chunk_sums(f, box, seed, start, count, vectorized, rtol):
     bitgen = np.random.Philox(seed)
     rng = np.random.Generator(bitgen.jumped(start // _CHUNK))
     coords = rng.uniform(box.lower, box.upper, size=(count, box.N))
-    mats = unpack(coords, box.n)
-    accept, eigs = _signature_mask(mats, box.signature, rtol)
+    accept, diag = _signature_mask(coords, box.signature, rtol)
     vals = np.zeros(count)
     if np.any(accept):
-        dens = _density_batch(eigs[accept])
+        dens = _density_batch(diag[accept])
         if vectorized:
             fvals = np.asarray(f(coords[accept]), dtype=float)
             if fvals.shape != (int(np.sum(accept)),):
                 raise ValueError("vectorized integrand must return one value per row")
         else:
-            fvals = np.array([float(f(SymmetricForm(m))) for m in mats[accept]])
+            mats = unpack(coords[accept], box.n)
+            fvals = np.array([float(f(SymmetricForm(m))) for m in mats])
         vals[accept] = fvals * dens
     total = float(np.sum(vals))
     return total, float(np.sum((vals - total / count) ** 2)), int(np.sum(accept))
@@ -182,7 +290,8 @@ def mc_integrate(
 
     Uniform proposals inside the box are rejected unless they carry the
     box signature; accepted samples contribute f * density, with the
-    density taken in closed form from the filter's eigenvalues (equal to
+    density taken in closed form from the filter's LDL^T pivots, or
+    eigenvalues on the rows the LDL^T cannot certify (equal to
     sqrt|det Q|, see the module docstring).  ``f`` takes
     a SymmetricForm, or, with vectorized=True, an (m, N) array of packed
     coordinates returning (m,) values.  Same seed, same estimate: samples

@@ -62,17 +62,8 @@ def congruence_jacobian(M: np.ndarray) -> np.ndarray:
     """Packed Jacobian L of the congruence S -> M^T S M.
 
     The congruence is linear in the packed coordinates, so L satisfies
-    pack(M^T S M) = L @ pack(S) exactly, and det L = (det M)^(n+1).
+    pack(M^T S M) = L @ pack(S) exactly, and det L = (det M)^(n+1).  Its
+    column c is pack(M^T E_c M) for the basis matrix E_c.
     """
     M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    pairs = packed_pairs(n)
-    N = len(pairs)
-    L = np.empty((N, N))
-    for r, (m, q) in enumerate(pairs):
-        for c, (i, j) in enumerate(pairs):
-            if i == j:
-                L[r, c] = M[i, m] * M[i, q]
-            else:
-                L[r, c] = M[i, m] * M[j, q] + M[j, m] * M[i, q]
-    return L
+    return pack(M.T @ symmetric_basis(M.shape[0]) @ M).T

@@ -66,6 +66,17 @@ class TestFieldDensity:
         with pytest.raises(SingularFrame):
             PointChart("x", [[1.0, 1.0], [1.0, 1.0]])
 
+    def test_singularity_is_relative_to_scale(self):
+        # a rescaled identity of |det| 1e-15 is a frame and a Jacobian; a
+        # matrix of |det| 2.5e-10 and condition number 4e9 is neither
+        small, ill_conditioned = 1e-5 * np.eye(3), np.diag([1.0, 2.5e-10])
+        assert PointChart("x", small).frame.shape == (3, 3)
+        assert DiffeoJacobianField({0: (0, small)}).mapping[0][1].shape == (3, 3)
+        with pytest.raises(SingularFrame):
+            PointChart("x", ill_conditioned)
+        with pytest.raises(SingularFrame):
+            DiffeoJacobianField({0: (0, ill_conditioned)})
+
 
 class TestFrameIndependence:
     def test_same_frame_is_exact(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigspace import (
     GroupElement,
@@ -15,7 +17,7 @@ from sigspace import (
     random_form,
     signature_of,
 )
-from sigspace.packing import congruence_jacobian, pack, packed_pairs, unpack
+from sigspace.packing import congruence_jacobian, pack, packed_dim, packed_pairs, unpack
 
 
 def _random_group(rng, n, max_cond=50.0):
@@ -23,6 +25,29 @@ def _random_group(rng, n, max_cond=50.0):
         g = rng.standard_normal((n, n))
         if abs(np.linalg.det(g)) > 1e-3 and np.linalg.cond(g) < max_cond:
             return GroupElement(g)
+
+
+def _congruence_jacobian_loop(M):
+    """Entry by entry: L[(m, q), (i, j)] = (M^T E_ij M)_mq."""
+    pairs = packed_pairs(M.shape[0])
+    L = np.empty((len(pairs), len(pairs)))
+    for r, (m, q) in enumerate(pairs):
+        for c, (i, j) in enumerate(pairs):
+            if i == j:
+                L[r, c] = M[i, m] * M[i, q]
+            else:
+                L[r, c] = M[i, m] * M[j, q] + M[j, m] * M[i, q]
+    return L
+
+
+@st.composite
+def packed_batches(draw):
+    """(n, coords): a batch of packed rows with any finite entries."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.integers(min_value=1, max_value=4))
+    flat = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=rows * packed_dim(n),
+                         max_size=rows * packed_dim(n)))
+    return n, np.array(flat).reshape(rows, packed_dim(n))
 
 
 class TestPacking:
@@ -45,6 +70,27 @@ class TestPacking:
             lhs = pack(M.T @ A @ M)
             rhs = congruence_jacobian(M) @ pack(A)
             assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(lhs)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=packed_batches())
+    def test_pack_unpack_round_trip_property(self, case):
+        n, coords = case
+        mats = unpack(coords, n)
+        np.testing.assert_array_equal(mats, np.swapaxes(mats, -1, -2))
+        np.testing.assert_array_equal(pack(mats), coords)
+        np.testing.assert_array_equal(unpack(pack(mats), n), mats)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_congruence_jacobian_matches_loop(self, n):
+        # each entry is one product or the sum of two, so the vectorised
+        # form may differ from the loop only by the rounding of that sum
+        # (or a fused multiply-add): 4 ulp of |M|^T |E| |M| bounds it
+        rng = np.random.default_rng(300 + n)
+        for _ in range(20):
+            M = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+            magnitude = _congruence_jacobian_loop(np.abs(M))
+            diff = np.abs(congruence_jacobian(M) - _congruence_jacobian_loop(M))
+            assert np.all(diff <= 4.0 * np.spacing(magnitude))
 
 
 class TestMetricComponents:

@@ -64,6 +64,13 @@ class TestAct:
         with pytest.raises(SingularGroupElement):
             GroupElement([[1.0, 1.0], [1.0, 1.0]])
 
+    def test_singularity_is_relative_to_scale(self):
+        # |det(1e-5 I_3)| = 1e-15, yet it is a rescaled identity; diag(1, 2.5e-10)
+        # has |det| = 2.5e-10 but condition number 4e9
+        assert GroupElement(1e-5 * np.eye(3)).n == 3
+        with pytest.raises(SingularGroupElement):
+            GroupElement(np.diag([1.0, 2.5e-10]))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             act(GroupElement.identity(2), SymmetricForm(np.eye(3)))

@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigspace import (
     BoxDomain,
@@ -18,7 +22,7 @@ from sigspace import (
     random_form,
 )
 from sigspace.forms import DEGENERACY_RTOL
-from sigspace.measure import _density_batch, _signature_mask
+from sigspace.measure import _density_batch, _eigen_mask, _ldl_certificate, _signature_mask
 from sigspace.packing import congruence_jacobian, pack, unpack
 
 
@@ -54,17 +58,142 @@ class TestDensity:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_batch_route_matches_metric_route(self, n):
-        # the Monte-Carlo route (filter eigenvalues -> closed form) against
+        # the Monte-Carlo route (filter diagonal -> closed form) against
         # sqrt|det Q| row by row, for every signature
         rng = np.random.default_rng(100 + n)
         for p in range(n + 1):
             sig = Signature(p, n - p)
             forms = [random_form(sig, rng, max_condition=10) for _ in range(200)]
-            accept, eigs = _signature_mask(np.array([S.entries for S in forms]), sig, DEGENERACY_RTOL)
+            accept, diag = _signature_mask(pack(np.array([S.entries for S in forms])), sig, DEGENERACY_RTOL)
             assert accept.all()
-            batch = _density_batch(eigs)
+            batch = _density_batch(diag)
             pointwise = np.array([density(S).value for S in forms])
             np.testing.assert_allclose(batch, pointwise, rtol=1e-10, atol=0.0)
+
+
+def _assert_filter_matches_eigen_route(coords, sig):
+    """Same mask as the eigenvalue route, and prod diag = det row by row."""
+    mats = unpack(coords, sig.n)
+    accept, diag = _signature_mask(coords, sig, DEGENERACY_RTOL)
+    reference, eigs = _eigen_mask(mats, sig, DEGENERACY_RTOL)
+    np.testing.assert_array_equal(accept, reference)
+    det = np.linalg.det(mats)
+    cond = np.max(np.abs(eigs), axis=1) / np.min(np.abs(eigs), axis=1)
+    # past cond 1e4 det itself is known only to about cond * u, for the LU
+    # reference as for the eigenvalues
+    tol = np.maximum(1e-10, 1e-14 * cond)
+    assert np.all(np.abs(np.prod(diag, axis=1) - det) <= tol * np.abs(det))
+    return accept
+
+
+class TestSignatureFilter:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_eigen_route_on_uniform_boxes(self, n):
+        # a narrow box inside one signature component, and a wide one around
+        # the same form that reaches across det gamma = 0; 10000 rows span
+        # more than one elimination block
+        rng = np.random.default_rng(200 + n)
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            center = pack(random_form(sig, rng, max_condition=4).entries)
+            for half_width, straddles in ((0.02, False), (1.0, True)):
+                coords = rng.uniform(center - half_width, center + half_width, size=(10000, center.size))
+                accept = _assert_filter_matches_eigen_route(coords, sig)
+                if straddles:
+                    assert 0 < accept.sum() < len(accept)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_certified_inertia_is_exact(self, n):
+        # forms within 1e-17..1e-12 of singular, where rounding can flip the
+        # sign of the last pivot: whatever the tolerance, even 0, a row the
+        # backward-error bound certifies has the inertia of its exact entries
+        rng = np.random.default_rng(400 + n)
+        B = rng.standard_normal((500, n, n))
+        spectrum = rng.choice([-1.0, 1.0], size=(500, n)) * np.concatenate(
+            (rng.uniform(0.5, 2.0, size=(500, n - 1)), 10.0 ** rng.uniform(-17, -12, size=(500, 1))), axis=1)
+        coords = pack(np.einsum("rij,rj,rkj->rik", B, spectrum, B))
+        certified, positive, _ = _ldl_certificate(coords, n, 0.0)
+        assert 0 < certified.sum() < len(coords)
+        for row, pos in zip(coords[certified], positive[certified]):
+            a = [[Fraction(x) for x in m] for m in unpack(row, n)]
+            pivots = []
+            for k in range(n):
+                pivots.append(a[k][k])
+                for i in range(k + 1, n):
+                    for j in range(k + 1, n):
+                        a[i][j] -= a[i][k] * a[k][j] / a[k][k]
+            assert pos == sum(d > 0 for d in pivots)
+
+    @pytest.mark.parametrize(
+        "matrix, sig, accepted",
+        [
+            # zero first pivot: the elimination breaks down, the form is (1, 1)
+            ([[0.0, 1.0], [1.0, 0.0]], Signature(1, 1), True),
+            # min |lambda| just above and just below DEGENERACY_RTOL * scale
+            (np.diag([1.0, 1.001e-10]), Signature(2, 0), True),
+            (np.diag([1.0, 0.999e-10]), Signature(2, 0), False),
+            # the all-zero row stays rejected through the 1e-300 floor
+            (np.zeros((3, 3)), Signature(2, 1), False),
+        ],
+    )
+    def test_crafted_rows_take_the_eigen_route(self, matrix, sig, accepted):
+        coords = pack(np.asarray(matrix))[None, :]
+        certified, _, _ = _ldl_certificate(coords, sig.n, DEGENERACY_RTOL)
+        assert not certified[0]
+        accept, diag = _signature_mask(coords, sig, DEGENERACY_RTOL)
+        reference, eigs = _eigen_mask(unpack(coords, sig.n), sig, DEGENERACY_RTOL)
+        assert accept[0] == reference[0] == accepted
+        np.testing.assert_array_equal(diag, eigs)
+
+
+@st.composite
+def conditioned_forms(draw, max_log_cond):
+    """(S, signature, condition number) with the conditioning chosen explicitly.
+
+    The eigenvalue moduli of S are 10^k times 10^-c_i with the c_i in
+    [0, log_cond], the two ends always present, so cond(S) is exactly
+    10^log_cond; the overall scale 10^k runs over |k| <= 6 and the
+    eigenvectors are a seeded random rotation.
+    """
+    n = draw(st.integers(min_value=1, max_value=6))
+    p = draw(st.integers(min_value=0, max_value=n))
+    log_cond = draw(st.floats(min_value=0.0, max_value=max_log_cond)) if n > 1 else 0.0
+    k = draw(st.integers(min_value=-6, max_value=6))
+    inner = draw(st.lists(st.floats(min_value=0.0, max_value=log_cond), min_size=max(n - 2, 0), max_size=max(n - 2, 0)))
+    exponents = np.array([0.0, *inner, log_cond][:n])
+    signs = np.concatenate((np.ones(p), -np.ones(n - p)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rotation, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    S = (rotation * (signs * 10.0 ** (k - exponents))) @ rotation.T
+    return (S + S.T) / 2.0, Signature(p, n - p), 10.0**log_cond
+
+
+class TestFilterProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=conditioned_forms(max_log_cond=4.0),
+        half_width=st.sampled_from([1e-3, 0.1, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_filter_matches_eigen_route(self, case, half_width, seed):
+        # boxes of half-width w |S| around S, the wide ones crossing det = 0
+        S, sig, _ = case
+        center = pack(S)
+        width = half_width * np.max(np.abs(S))
+        coords = np.random.default_rng(seed).uniform(center - width, center + width, size=(256, center.size))
+        _assert_filter_matches_eigen_route(coords, sig)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=conditioned_forms(max_log_cond=2.0))
+    def test_closed_form_density_matches_metric_route(self, case):
+        # det Q of the N x N metric, cond(Q) = cond(S)^2, carries a relative
+        # error up to about N u cond(S)^2 on top of the 1e-10 of the route
+        S, sig, cond = case
+        accept, diag = _signature_mask(pack(S)[None, :], sig, DEGENERACY_RTOL)
+        assert accept[0]
+        want = density(SymmetricForm(S)).value
+        tol = 1e-10 + 64.0 * len(pack(S)) * np.finfo(float).eps * cond**2
+        assert abs(_density_batch(diag)[0] - want) <= tol * want
 
 
 class TestDensityClosedForm:
