@@ -212,7 +212,7 @@ def deform_metric_field(
         raise GridTooCoarse("grid has no point with r^2 >= 1")
 
     witness = transitive_witness(center.q, target, positive_det=True)
-    g = np.linalg.inv(witness.entries)  # g^T q_center g = target, det g > 0
+    g = witness.inverse_entries()  # g^T q_center g = target, det g > 0
     path = gl_plus_path(g)
 
     new_points = []

@@ -5,6 +5,14 @@ fixed basis.  Signatures can be computed either from the signs of the
 leading principal minors or from an eigendecomposition; the minor route
 fails whenever a leading minor vanishes, so ``auto`` falls back to the
 eigenvalue count in that case.
+
+A SymmetricForm computes three values on first use and keeps them for its
+lifetime: its eigenvalues (with max |gamma_ij|, the scale the degeneracy
+check compares them against), its inverse (stored only once it passes the
+INVERSE_RTOL residual check), and the natural metric Q that
+``geometry.metric_components`` builds from that inverse.  Every stored
+array is read-only.  The degeneracy check itself still runs on every call,
+against that call's ``degeneracy_rtol``; only the LAPACK work is done once.
 """
 from __future__ import annotations
 
@@ -40,9 +48,15 @@ class SymmetricForm:
     The constructor symmetrizes its input and rejects matrices that are
     asymmetric beyond ``SYMMETRY_RTOL`` relative to the largest entry.
     Instances are immutable and safe to share between threads.
+
+    The eigenvalues, the inverse and the metric Q are computed on first
+    use and stored in private slots.  Two threads that ask for one of them
+    at once may both compute it; the race is benign, because both compute
+    the same value from the same read-only entries and storing it is a
+    single attribute assignment.
     """
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("n", "entries", "_spectrum", "_inverse", "_metric")
 
     def __init__(self, entries):
         a = np.array(entries, dtype=float)
@@ -58,9 +72,21 @@ class SymmetricForm:
         sym.flags.writeable = False
         self.n = int(a.shape[0])
         self.entries = sym
+        self._spectrum = None  # (eigenvalues, max |gamma_ij|)
+        self._inverse = None  # InverseForm, set by inverse_form
+        self._metric = None  # Q_IJ, set by geometry.metric_components
 
     def __repr__(self) -> str:
         return f"SymmetricForm(n={self.n})"
+
+    def spectrum(self) -> tuple[np.ndarray, float]:
+        """Eigenvalues (ascending, read-only) and max |gamma_ij|, computed once."""
+        spectrum = self._spectrum
+        if spectrum is None:
+            eigs = np.linalg.eigvalsh(self.entries)
+            eigs.flags.writeable = False
+            spectrum = self._spectrum = (eigs, float(np.max(np.abs(self.entries))))
+        return spectrum
 
     def to_dict(self) -> dict:
         return {"n": self.n, "entries": self.entries.tolist()}
@@ -89,10 +115,13 @@ class InverseForm:
         return f"InverseForm(n={self.n})"
 
 
-def _check_nondegenerate(entries: np.ndarray, rtol: float) -> np.ndarray:
-    """Return the eigenvalues, raising DegenerateForm on a near-zero one."""
-    eigs = np.linalg.eigvalsh(entries)
-    scale = float(np.max(np.abs(entries)))
+def check_nondegenerate(S: SymmetricForm, rtol: float = DEGENERACY_RTOL) -> np.ndarray:
+    """Return the eigenvalues of S, raising DegenerateForm on a near-zero one.
+
+    Near zero means |eigenvalue| < rtol * max |gamma_ij|.  This is the one
+    degeneracy test every pointwise routine applies.
+    """
+    eigs, scale = S.spectrum()
     if scale == 0.0 or float(np.min(np.abs(eigs))) < rtol * scale:
         raise DegenerateForm(
             f"form is degenerate: min |eigenvalue| = {np.min(np.abs(eigs)):.3e}, "
@@ -129,13 +158,12 @@ def signature_of(
     """
     if method not in ("minors", "eigen", "auto"):
         raise ValueError(f"unknown method {method!r}")
-    entries = S.entries
-    eigs = _check_nondegenerate(entries, degeneracy_rtol)
+    eigs = check_nondegenerate(S, degeneracy_rtol)
     if method == "eigen":
         return _signature_from_eigs(eigs)
 
-    scale = float(np.max(np.abs(entries)))
-    minors = _leading_minors(entries)
+    scale = S.spectrum()[1]
+    minors = _leading_minors(S.entries)
     thresholds = minor_rtol * scale ** np.arange(1, S.n + 1)
     if np.any(np.abs(minors) < thresholds):
         if method == "minors":
@@ -151,16 +179,23 @@ def signature_of(
 
 
 def inverse_form(S: SymmetricForm, degeneracy_rtol: float = DEGENERACY_RTOL) -> InverseForm:
-    """Inverse coordinate matrix (gamma^ij), gamma^ik gamma_kj = delta^i_j."""
-    _check_nondegenerate(S.entries, degeneracy_rtol)
-    inv = np.linalg.inv(S.entries)
-    residual = float(np.max(np.abs(inv @ S.entries - np.eye(S.n))))
-    if residual > INVERSE_RTOL:
-        raise DegenerateForm(
-            f"inverse residual {residual:.3e} exceeds {INVERSE_RTOL:.1e}; "
-            "form is too ill-conditioned"
-        )
-    return InverseForm(inv)
+    """Inverse coordinate matrix (gamma^ij), gamma^ik gamma_kj = delta^i_j.
+
+    Computed and residual-checked once per form, then returned as stored;
+    the degeneracy check against ``degeneracy_rtol`` runs on every call.
+    """
+    check_nondegenerate(S, degeneracy_rtol)
+    inverse = S._inverse
+    if inverse is None:
+        inv = np.linalg.inv(S.entries)
+        residual = float(np.max(np.abs(inv @ S.entries - np.eye(S.n))))
+        if residual > INVERSE_RTOL:
+            raise DegenerateForm(
+                f"inverse residual {residual:.3e} exceeds {INVERSE_RTOL:.1e}; "
+                "form is too ill-conditioned"
+            )
+        inverse = S._inverse = InverseForm(inv)
+    return inverse
 
 
 def random_form(
@@ -172,8 +207,9 @@ def random_form(
     """Random scalar product of the requested signature.
 
     Returns B diag(+1,...,-1,...) B^T for a random B with entries in
-    (-scale, scale), redrawn until cond(B) < max_condition.  Passing a
-    numpy Generator as ``rng_seed`` reuses its stream.
+    (-scale, scale), redrawn until cond(B) < max_condition; a finite
+    condition number already makes B invertible, at any ``scale``.
+    Passing a numpy Generator as ``rng_seed`` reuses its stream.
     """
     sig = Signature(*sig)
     if sig.p < 0 or sig.p_prime < 0 or sig.n < 1:
@@ -182,5 +218,5 @@ def random_form(
     eta = np.diag(np.concatenate((np.ones(sig.p), -np.ones(sig.p_prime))))
     while True:
         B = rng.uniform(-scale, scale, size=(sig.n, sig.n))
-        if abs(np.linalg.det(B)) > 1e-12 and np.linalg.cond(B) < max_condition:
+        if np.linalg.cond(B) < max_condition:
             return SymmetricForm(B @ eta @ B.T)

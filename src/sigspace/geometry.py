@@ -17,12 +17,18 @@ from .packing import packed_dim, packed_pairs, symmetric_basis
 
 
 class CotangentMetric:
-    """Components Q_IJ (N x N, N = n(n+1)/2) at a fixed base form."""
+    """Components Q_IJ (N x N, N = n(n+1)/2) at a fixed base form.
+
+    ``components`` is a read-only view: metric_components hands out the
+    array its base form stores, so writing to it would change every later
+    metric at that form.
+    """
 
     __slots__ = ("n", "N", "components")
 
     def __init__(self, n: int, components: np.ndarray):
-        components = np.asarray(components, dtype=float)
+        components = np.asarray(components, dtype=float).view()
+        components.flags.writeable = False
         self.n = n
         self.N = packed_dim(n)
         if components.shape != (self.N, self.N):
@@ -52,9 +58,16 @@ def _metric_from_inverse(inv: np.ndarray) -> np.ndarray:
 
 
 def metric_components(S: SymmetricForm) -> CotangentMetric:
-    """Q_IJ = trace(gamma^-1 E_I gamma^-1 E_J) at the base point S."""
-    inv = inverse_form(S).entries
-    return CotangentMetric(S.n, _metric_from_inverse(inv))
+    """Q_IJ = trace(gamma^-1 E_I gamma^-1 E_J) at the base point S.
+
+    Built once per form from its stored inverse, then kept on the form.
+    """
+    Q = S._metric
+    if Q is None:
+        Q = _metric_from_inverse(inverse_form(S).entries)
+        Q.flags.writeable = False
+        S._metric = Q
+    return CotangentMetric(S.n, Q)
 
 
 def metric_signature(S: SymmetricForm) -> Signature:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DegenerateForm, NotInvariantSubspace, SignatureMismatch, SingularGroupElement
-from .forms import SymmetricForm, signature_of
+from .errors import NotInvariantSubspace, SignatureMismatch, SingularGroupElement
+from .forms import DEGENERACY_RTOL, SymmetricForm, check_nondegenerate, signature_of
 from .packing import congruence_jacobian
 
 # A matrix counts as singular when its smallest singular value is at most
@@ -35,9 +35,14 @@ def is_singular(matrix) -> bool:
 
 
 class GroupElement:
-    """Invertible matrix (g^i_j) acting on forms by inverse pullback."""
+    """Invertible matrix (g^i_j) acting on forms by inverse pullback.
 
-    __slots__ = ("n", "entries")
+    Immutable.  The inverse g^-1 and the packed action Jacobian are computed
+    on first use, stored read-only, and shared by every later call; as for
+    SymmetricForm, concurrent first use at worst computes them twice.
+    """
+
+    __slots__ = ("n", "entries", "_inverse", "_jacobian")
 
     def __init__(self, entries):
         a = np.array(entries, dtype=float)
@@ -50,16 +55,27 @@ class GroupElement:
         a.flags.writeable = False
         self.n = int(a.shape[0])
         self.entries = a
+        self._inverse = None
+        self._jacobian = None
 
     def __repr__(self) -> str:
         return f"GroupElement(n={self.n}, det={np.linalg.det(self.entries):.6g})"
+
+    def inverse_entries(self) -> np.ndarray:
+        """The matrix g^-1 (read-only), computed once."""
+        inv = self._inverse
+        if inv is None:
+            inv = np.linalg.inv(self.entries)
+            inv.flags.writeable = False
+            self._inverse = inv
+        return inv
 
     @classmethod
     def identity(cls, n: int) -> "GroupElement":
         return cls(np.eye(n))
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(np.linalg.inv(self.entries))
+        return GroupElement(self.inverse_entries())
 
     def compose(self, other: "GroupElement") -> "GroupElement":
         """Matrix product self @ other, i.e. apply ``other`` first."""
@@ -80,24 +96,27 @@ def act(g: GroupElement, S: SymmetricForm) -> SymmetricForm:
     """The natural action: coordinates of gamma(g^-1 ., g^-1 .)."""
     if g.n != S.n:
         raise ValueError(f"dimension mismatch: g is {g.n}x{g.n}, form is {S.n}x{S.n}")
-    ginv = np.linalg.inv(g.entries)
+    ginv = g.inverse_entries()
     return SymmetricForm(ginv.T @ S.entries @ ginv)
 
 
 def action_jacobian(g: GroupElement) -> np.ndarray:
     """Constant matrix L with pack(act(g, S)) = L @ pack(S) for every S.
 
-    det L = (det g)^-(n+1).
+    det L = (det g)^-(n+1).  Computed once per group element and returned
+    read-only.
     """
-    return congruence_jacobian(np.linalg.inv(g.entries))
+    L = g._jacobian
+    if L is None:
+        L = congruence_jacobian(g.inverse_entries())
+        L.flags.writeable = False
+        g._jacobian = L
+    return L
 
 
-def orthonormal_basis(S: SymmetricForm, degeneracy_rtol: float = 1e-10) -> OrthonormalFrame:
+def orthonormal_basis(S: SymmetricForm, degeneracy_rtol: float = DEGENERACY_RTOL) -> OrthonormalFrame:
     """Frame B with B^T S B = diag(+1 x p, -1 x p'), +1 columns first."""
-    eigs = np.linalg.eigvalsh(S.entries)
-    scale = float(np.max(np.abs(S.entries)))
-    if scale == 0.0 or float(np.min(np.abs(eigs))) < degeneracy_rtol * scale:
-        raise DegenerateForm("cannot orthonormalize a degenerate form")
+    check_nondegenerate(S, degeneracy_rtol)
     d, U = np.linalg.eigh(S.entries)
     B = U / np.sqrt(np.abs(d))
     order = np.argsort(d <= 0.0, kind="stable")  # positive eigenvalues first
@@ -231,7 +250,7 @@ def adjoint_determinant(
     Bmat = np.column_stack([X.ravel() for X in basis])
     if np.linalg.matrix_rank(Bmat) < k:
         raise ValueError("algebra basis is linearly dependent")
-    ginv = np.linalg.inv(g.entries)
+    ginv = g.inverse_entries()
     M = np.empty((k, k))
     for a, X in enumerate(basis):
         Y = g.entries @ X @ ginv

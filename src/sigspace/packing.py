@@ -30,14 +30,19 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+@lru_cache(maxsize=None)
 def symmetric_basis(n: int) -> np.ndarray:
-    """Array (N, n, n) of tangent basis matrices matching the packed index."""
+    """Array (N, n, n) of tangent basis matrices matching the packed index.
+
+    Built once per n and shared, so it is read-only.
+    """
     pairs = packed_pairs(n)
     E = np.zeros((len(pairs), n, n))
     for k, (i, j) in enumerate(pairs):
         E[k, i, j] += 1.0
         if i != j:
             E[k, j, i] += 1.0
+    E.flags.writeable = False
     return E
 
 

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from sigspace import (
     random_form,
     signature_of,
 )
+from strategies import conditioned_forms, near_degenerate_form
 
 
 class TestSymmetricForm:
@@ -158,6 +161,68 @@ class TestRandomForm:
     def test_invalid_signature(self):
         with pytest.raises(ValueError):
             random_form(Signature(0, 0))
+
+    def test_small_scale_returns(self):
+        # |det B| is about 1e-15 here, so a floor on |det B| never passed
+        result = []
+        worker = threading.Thread(
+            target=lambda: result.append(random_form(Signature(2, 1), rng_seed=0, scale=1e-5)),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=1.0)
+        assert result, "random_form did not return within a second"
+        assert signature_of(result[0]) == Signature(2, 1)
+
+    @pytest.mark.parametrize("sig", [(1, 0), (1, 1), (2, 1), (0, 3), (2, 2), (3, 2)])
+    def test_unit_scale_draws_unchanged(self, sig):
+        # the old acceptance rule, |det B| > 1e-12 and cond(B) < max_condition,
+        # consumes the stream the same way and accepts the same B at scale 1
+        sig = Signature(*sig)
+        eta = np.diag(np.concatenate((np.ones(sig.p), -np.ones(sig.p_prime))))
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            while True:
+                B = rng.uniform(-1.0, 1.0, size=(sig.n, sig.n))
+                if abs(np.linalg.det(B)) > 1e-12 and np.linalg.cond(B) < 1e6:
+                    break
+            old = SymmetricForm(B @ eta @ B.T)
+            np.testing.assert_array_equal(random_form(sig, rng_seed=seed).entries, old.entries)
+
+
+class TestStoredValues:
+    def test_stored_arrays_are_read_only(self):
+        S = random_form(Signature(2, 1), rng_seed=1)
+        with pytest.raises(ValueError):
+            inverse_form(S).entries[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            S.spectrum()[0][0] = 1.0
+
+    @pytest.mark.parametrize("loose_first", [False, True])
+    def test_each_call_checks_its_own_rtol(self, loose_first):
+        # the eigenvalues are stored, the decision is not
+        for check in (inverse_form, signature_of):
+            S = near_degenerate_form()
+            eigs, scale = S.spectrum()
+            assert 1e-7 < np.min(np.abs(eigs)) / scale < 1e-5
+            if loose_first:
+                check(S)
+            with pytest.raises(DegenerateForm):
+                check(S, degeneracy_rtol=1e-3)
+            check(S)
+            with pytest.raises(DegenerateForm):
+                check(S, degeneracy_rtol=1e-3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=conditioned_forms(max_log_cond=4.0))
+    def test_repeated_calls_match_a_fresh_form(self, case):
+        entries, sig, _ = case
+        S = SymmetricForm(entries)
+        for _ in range(3):
+            fresh = SymmetricForm(entries)
+            assert np.array_equal(inverse_form(S).entries, inverse_form(fresh).entries)
+            assert np.array_equal(S.spectrum()[0], np.linalg.eigvalsh(fresh.entries))
+            assert signature_of(S) == signature_of(fresh) == sig
 
 
 @settings(max_examples=30, deadline=None)

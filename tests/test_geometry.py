@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +21,8 @@ from sigspace import (
     random_form,
     signature_of,
 )
-from sigspace.packing import congruence_jacobian, pack, packed_dim, packed_pairs, unpack
+from sigspace.packing import congruence_jacobian, pack, packed_dim, packed_pairs, symmetric_basis, unpack
+from strategies import conditioned_forms, conditioned_groups
 
 
 def _random_group(rng, n, max_cond=50.0):
@@ -80,6 +85,11 @@ class TestPacking:
         np.testing.assert_array_equal(pack(mats), coords)
         np.testing.assert_array_equal(unpack(pack(mats), n), mats)
 
+    def test_symmetric_basis_is_shared_and_read_only(self):
+        assert symmetric_basis(3) is symmetric_basis(3)
+        with pytest.raises(ValueError):
+            symmetric_basis(3)[0, 0, 0] = 2.0
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_congruence_jacobian_matches_loop(self, n):
         # each entry is one product or the sum of two, so the vectorised
@@ -115,6 +125,48 @@ class TestMetricComponents:
             ]
         )
         np.testing.assert_allclose(Q, expected, atol=1e-15)
+
+
+class TestStoredMetric:
+    def test_components_are_read_only(self):
+        S = random_form(Signature(1, 1), rng_seed=2)
+        with pytest.raises(ValueError):
+            metric_components(S).components[0, 0] = 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=conditioned_forms(max_log_cond=4.0))
+    def test_repeated_calls_match_a_fresh_form(self, case):
+        S = SymmetricForm(case[0])
+        for _ in range(3):
+            fresh = SymmetricForm(case[0])
+            assert np.array_equal(metric_components(S).components, metric_components(fresh).components)
+            assert np.array_equal(one_form_components(S).components, one_form_components(fresh).components)
+
+    def test_concurrent_first_use(self):
+        # four threads ask one fresh form for Q at once, switching often;
+        # whichever stores it, all of them see the value one thread computes
+        rng = np.random.default_rng(21)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for n in (2, 4, 6):
+                    for _ in range(10):
+                        entries = random_form(Signature(n // 2, n - n // 2), rng).entries
+                        shared = SymmetricForm(entries)
+                        barrier = threading.Barrier(4, timeout=10.0)
+
+                        def first_use():
+                            barrier.wait()
+                            return metric_components(shared).components
+
+                        futures = [pool.submit(first_use) for _ in range(4)]
+                        results = [f.result(timeout=10.0) for f in futures]
+                        expected = metric_components(SymmetricForm(entries)).components
+                        for Q in results:
+                            assert np.array_equal(Q, expected)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestMetricSignature:
@@ -248,6 +300,16 @@ class TestPullbackInvariance:
             Q_here = metric_components(S).components
             residual = np.max(np.abs(J.T @ Q_checked @ J - Q_here))
             assert residual < 1e-8 * np.max(np.abs(Q_here))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=conditioned_forms(max_log_cond=4.0, max_scale_exp=2), data=st.data())
+    def test_invariance_property(self, case, data):
+        # the residual calls action_jacobian and then act on one g, so the
+        # second call uses the g^-1 that the first one stored
+        S = SymmetricForm(case[0])
+        g = data.draw(conditioned_groups(S.n, max_log_cond=1.5))
+        scale = np.max(np.abs(metric_components(S).components))
+        assert pullback_invariance_residual(g, S) < 1e-8 * scale
 
     def test_deformed_metric_also_invariant(self):
         # pullback residual of Q^a vanishes for every a

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigspace import (
+    DegenerateForm,
     GroupElement,
     NotInvariantSubspace,
     Signature,
@@ -21,6 +24,7 @@ from sigspace import (
     transitive_witness,
 )
 from sigspace.packing import pack
+from strategies import conditioned_forms, conditioned_groups, near_degenerate_form
 
 
 def _random_group(rng, n, max_cond=50.0):
@@ -104,6 +108,26 @@ class TestActionJacobian:
             assert abs(got - expected) < 1e-8 * abs(expected)
 
 
+class TestStoredInverse:
+    def test_stored_arrays_are_read_only(self):
+        g = _random_group(np.random.default_rng(5), 3)
+        with pytest.raises(ValueError):
+            action_jacobian(g)[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            g.inverse_entries()[0, 0] = 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=conditioned_forms(max_log_cond=2.0, max_scale_exp=2), data=st.data())
+    def test_repeated_calls_match_a_fresh_element(self, case, data):
+        S = SymmetricForm(case[0])
+        g = data.draw(conditioned_groups(S.n, max_log_cond=1.0))
+        for _ in range(3):
+            fresh = GroupElement(g.entries)
+            assert np.array_equal(action_jacobian(g), action_jacobian(fresh))
+            assert np.array_equal(act(g, S).entries, act(fresh, S).entries)
+            assert np.array_equal(g.inverse().entries, np.linalg.inv(g.entries))
+
+
 class TestOrthonormalBasis:
     def test_diagonal_scaling(self):
         frame = orthonormal_basis(SymmetricForm(np.diag([4.0, -9.0])))
@@ -113,6 +137,14 @@ class TestOrthonormalBasis:
     def test_identity_form(self):
         frame = orthonormal_basis(SymmetricForm(np.eye(3)))
         np.testing.assert_allclose(np.abs(frame.B), np.eye(3), atol=1e-12)
+
+    def test_degeneracy_is_the_shared_check(self):
+        S = near_degenerate_form()
+        assert np.array_equal(np.diag(orthonormal_basis(S).eta), [1.0, 1.0, -1.0])
+        with pytest.raises(DegenerateForm):
+            orthonormal_basis(S, degeneracy_rtol=1e-3)
+        with pytest.raises(DegenerateForm):
+            orthonormal_basis(SymmetricForm([[1.0, 1.0], [1.0, 1.0]]))
 
     def test_indefinite_residual(self):
         rng = np.random.default_rng(4)

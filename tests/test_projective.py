@@ -152,6 +152,25 @@ class TestRestrictState:
         rhs = np.trace(rho.matrix @ embed_observable(a, lam_prime, dims).matrix)
         assert abs(lhs - rhs) < 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ids=st.frozensets(st.integers(0, 5), min_size=1, max_size=4),
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_duality_property(self, ids, data, seed):
+        # tr(pi(rho) a) = tr(rho iota(a)) for any sub-label, factor sizes 1..3
+        kept = data.draw(st.frozensets(st.sampled_from(sorted(ids)), max_size=len(ids)))
+        dims = {k: data.draw(st.integers(1, 3)) for k in sorted(ids)}
+        lam, lam_prime = Label(kept), Label(ids)
+        rng = np.random.default_rng(seed)
+        a = _random_observable(TensorSpace(lam, dims), rng)
+        rho = _random_state(TensorSpace(lam_prime, dims), rng)
+        lhs = np.trace(restrict_state(rho, lam).matrix @ a.matrix)
+        rhs = np.trace(rho.matrix @ embed_observable(a, lam_prime, dims).matrix)
+        D = TensorSpace(lam_prime, dims).total_dim
+        assert abs(lhs - rhs) <= 16.0 * D * np.finfo(float).eps
+
     def test_tower_consistency_generic(self):
         rng = np.random.default_rng(5)
         dims = {1: 2, 2: 3, 3: 2, 4: 2}
