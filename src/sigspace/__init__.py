@@ -18,7 +18,15 @@ from .errors import (
     SingularGroupElement,
     UnsupportedDimension,
 )
-from .forms import InverseForm, Signature, SymmetricForm, inverse_form, random_form, signature_of
+from .forms import (
+    InverseForm,
+    Signature,
+    SymmetricForm,
+    inverse_form,
+    random_form,
+    random_forms,
+    signature_of,
+)
 from .group import (
     GroupElement,
     OrthonormalFrame,

@@ -311,6 +311,8 @@ def _cmd_suite(args):
                 "index": r.index,
                 "name": r.name,
                 "passed": r.passed,
+                "numeric_passed": r.numeric_passed,
+                "within_budget": r.within_budget,
                 "runtime_s": r.runtime_s,
                 "runtime_budget_s": r.runtime_budget_s,
                 "details": r.details,

@@ -13,9 +13,17 @@ INVERSE_RTOL residual check), and the natural metric Q that
 ``geometry.metric_components`` builds from that inverse.  Every stored
 array is read-only.  The degeneracy check itself still runs on every call,
 against that call's ``degeneracy_rtol``; only the LAPACK work is done once.
+
+The object-level functions are thin wrappers over array kernels that also
+accept a stack (..., n, n) of coordinate matrices: ``form_entries`` (the
+constructor's checks), ``spectra``, ``check_spectra``, ``inverse_entries``
+and ``eigen_positive_counts``.  Applied to a stack they give, matrix for
+matrix, the bits the object route gives and raise the same exceptions, so
+batch callers such as the acceptance battery can skip the objects.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +50,27 @@ class Signature(NamedTuple):
         return self.p + self.p_prime
 
 
+def symmetric_part(a: np.ndarray) -> np.ndarray:
+    """(A + A^T) / 2 of a matrix or of each matrix in a stack."""
+    return 0.5 * (a + a.mT)
+
+
+def form_entries(a) -> np.ndarray:
+    """The coordinate matrix a SymmetricForm stores for ``a``, per stacked matrix.
+
+    Raises ValueError when an entry is not finite or when some matrix is
+    asymmetric beyond SYMMETRY_RTOL relative to its largest entry.
+    """
+    a = np.array(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("form entries must be finite")
+    scale = np.abs(a).max(axis=(-2, -1))
+    asym = np.abs(a - a.mT).max(axis=(-2, -1))
+    if (asym > SYMMETRY_RTOL * np.maximum(scale, 1.0)).any():
+        raise ValueError(f"matrix is not symmetric: max|A - A^T| = {asym.max():.3e}")
+    return symmetric_part(a)
+
+
 class SymmetricForm:
     """Coordinate matrix (gamma_ij) of a symmetric bilinear form.
 
@@ -59,16 +88,10 @@ class SymmetricForm:
     __slots__ = ("n", "entries", "_spectrum", "_inverse", "_metric")
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=float)
+        a = np.asarray(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("form entries must be finite")
-        scale = float(np.max(np.abs(a)))
-        asym = float(np.max(np.abs(a - a.T)))
-        if asym > SYMMETRY_RTOL * max(scale, 1.0):
-            raise ValueError(f"matrix is not symmetric: max|A - A^T| = {asym:.3e}")
-        sym = 0.5 * (a + a.T)
+        sym = form_entries(a)
         sym.flags.writeable = False
         self.n = int(a.shape[0])
         self.entries = sym
@@ -83,9 +106,9 @@ class SymmetricForm:
         """Eigenvalues (ascending, read-only) and max |gamma_ij|, computed once."""
         spectrum = self._spectrum
         if spectrum is None:
-            eigs = np.linalg.eigvalsh(self.entries)
+            eigs, scale = spectra(self.entries)
             eigs.flags.writeable = False
-            spectrum = self._spectrum = (eigs, float(np.max(np.abs(self.entries))))
+            spectrum = self._spectrum = (eigs, float(scale))
         return spectrum
 
     def to_dict(self) -> dict:
@@ -105,8 +128,7 @@ class InverseForm:
     __slots__ = ("n", "entries")
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=float)
-        a = 0.5 * (a + a.T)
+        a = symmetric_part(np.array(entries, dtype=float))
         a.flags.writeable = False
         self.n = int(a.shape[0])
         self.entries = a
@@ -115,23 +137,53 @@ class InverseForm:
         return f"InverseForm(n={self.n})"
 
 
+def spectra(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and max |gamma_ij| of each stacked coordinate matrix."""
+    return np.linalg.eigvalsh(entries), np.abs(entries).max(axis=(-2, -1))
+
+
+def check_spectra(eigs: np.ndarray, scale, rtol: float = DEGENERACY_RTOL) -> None:
+    """Raise DegenerateForm if some |eigenvalue| < rtol * max |gamma_ij|.
+
+    ``eigs`` and ``scale`` are as returned by ``spectra``.  This is the one
+    degeneracy test; every pointwise and stacked routine applies it.
+    """
+    smallest = np.abs(eigs).min(axis=-1)
+    degenerate = (scale == 0.0) | (smallest < rtol * scale)
+    if degenerate.any():
+        first = np.flatnonzero(degenerate)[0]
+        raise DegenerateForm(
+            f"form is degenerate: min |eigenvalue| = {np.ravel(smallest)[first]:.3e}, "
+            f"scale = {np.ravel(scale)[first]:.3e}"
+        )
+
+
 def check_nondegenerate(S: SymmetricForm, rtol: float = DEGENERACY_RTOL) -> np.ndarray:
     """Return the eigenvalues of S, raising DegenerateForm on a near-zero one.
 
-    Near zero means |eigenvalue| < rtol * max |gamma_ij|.  This is the one
-    degeneracy test every pointwise routine applies.
+    Near zero means |eigenvalue| < rtol * max |gamma_ij| (see check_spectra).
     """
     eigs, scale = S.spectrum()
-    if scale == 0.0 or float(np.min(np.abs(eigs))) < rtol * scale:
-        raise DegenerateForm(
-            f"form is degenerate: min |eigenvalue| = {np.min(np.abs(eigs)):.3e}, "
-            f"scale = {scale:.3e}"
-        )
+    check_spectra(eigs, scale, rtol)
     return eigs
 
 
+def eigen_positive_counts(entries: np.ndarray, rtol: float = DEGENERACY_RTOL) -> np.ndarray:
+    """p of the signature (p, n - p) of each stacked matrix, by eigenvalue signs.
+
+    Applies the degeneracy test first, as signature_of(method="eigen") does.
+    """
+    eigs, scale = spectra(entries)
+    check_spectra(eigs, scale, rtol)
+    return _positive_count(eigs)
+
+
+def _positive_count(eigs: np.ndarray) -> np.ndarray:
+    return (eigs > 0.0).sum(axis=-1)
+
+
 def _signature_from_eigs(eigs: np.ndarray) -> Signature:
-    p = int(np.sum(eigs > 0.0))
+    p = int(_positive_count(eigs))
     return Signature(p, eigs.size - p)
 
 
@@ -187,15 +239,74 @@ def inverse_form(S: SymmetricForm, degeneracy_rtol: float = DEGENERACY_RTOL) -> 
     check_nondegenerate(S, degeneracy_rtol)
     inverse = S._inverse
     if inverse is None:
-        inv = np.linalg.inv(S.entries)
-        residual = float(np.max(np.abs(inv @ S.entries - np.eye(S.n))))
-        if residual > INVERSE_RTOL:
-            raise DegenerateForm(
-                f"inverse residual {residual:.3e} exceeds {INVERSE_RTOL:.1e}; "
-                "form is too ill-conditioned"
-            )
-        inverse = S._inverse = InverseForm(inv)
+        inverse = S._inverse = InverseForm(_checked_inverse(S.entries))
     return inverse
+
+
+def _checked_inverse(entries: np.ndarray) -> np.ndarray:
+    """inv(gamma) per stacked matrix, residual-checked."""
+    inv = np.linalg.inv(entries)
+    residual = float(np.abs(inv @ entries - np.eye(entries.shape[-1])).max())
+    if residual > INVERSE_RTOL:
+        raise DegenerateForm(
+            f"inverse residual {residual:.3e} exceeds {INVERSE_RTOL:.1e}; "
+            "form is too ill-conditioned"
+        )
+    return inv
+
+
+def inverse_entries(entries: np.ndarray, degeneracy_rtol: float = DEGENERACY_RTOL) -> np.ndarray:
+    """inverse_form(S).entries for each stacked coordinate matrix S.
+
+    Runs the same degeneracy test and inverse residual check, raising
+    DegenerateForm as inverse_form does.
+    """
+    check_spectra(*spectra(entries), degeneracy_rtol)
+    return symmetric_part(_checked_inverse(entries))
+
+
+def random_forms(
+    sig: Signature,
+    rng_seed=None,
+    count: int = 1,
+    scale: float = 1.0,
+    max_condition: float = 1e6,
+) -> np.ndarray:
+    """Stack (count, n, n) of random scalar products of the requested signature.
+
+    Each is B diag(+1,...,-1,...) B^T for a random B with entries in
+    (-scale, scale), redrawn until cond(B) < max_condition; a finite
+    condition number already makes B invertible, at any ``scale``.  The
+    stack is returned as computed: SymmetricForm, or form_entries for a
+    stack, validates and symmetrizes it.  Passing a numpy Generator as
+    ``rng_seed`` reuses its stream.
+
+    Each round draws exactly as many candidates as forms are still
+    missing, so the stack and the generator's final state equal those of
+    ``count`` successive random_form calls: no candidate is drawn that
+    the one-at-a-time loop would not draw.
+    """
+    sig = Signature(*sig)
+    if sig.p < 0 or sig.p_prime < 0 or sig.n < 1:
+        raise ValueError(f"invalid signature {sig}")
+    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    eta = _eta(sig)
+    out = np.empty((count, sig.n, sig.n))
+    done = 0
+    while done < count:
+        B = rng.uniform(-scale, scale, size=(count - done, sig.n, sig.n))
+        B = B[np.linalg.cond(B) < max_condition]
+        out[done : done + len(B)] = B @ eta @ B.mT
+        done += len(B)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _eta(sig: Signature) -> np.ndarray:
+    """diag(+1 x p, -1 x p'), read-only."""
+    eta = np.diag(np.concatenate((np.ones(sig.p), -np.ones(sig.p_prime))))
+    eta.flags.writeable = False
+    return eta
 
 
 def random_form(
@@ -204,19 +315,5 @@ def random_form(
     scale: float = 1.0,
     max_condition: float = 1e6,
 ) -> SymmetricForm:
-    """Random scalar product of the requested signature.
-
-    Returns B diag(+1,...,-1,...) B^T for a random B with entries in
-    (-scale, scale), redrawn until cond(B) < max_condition; a finite
-    condition number already makes B invertible, at any ``scale``.
-    Passing a numpy Generator as ``rng_seed`` reuses its stream.
-    """
-    sig = Signature(*sig)
-    if sig.p < 0 or sig.p_prime < 0 or sig.n < 1:
-        raise ValueError(f"invalid signature {sig}")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    eta = np.diag(np.concatenate((np.ones(sig.p), -np.ones(sig.p_prime))))
-    while True:
-        B = rng.uniform(-scale, scale, size=(sig.n, sig.n))
-        if np.linalg.cond(B) < max_condition:
-            return SymmetricForm(B @ eta @ B.T)
+    """Random scalar product of the requested signature (see random_forms)."""
+    return SymmetricForm(random_forms(sig, rng_seed, 1, scale, max_condition)[0])

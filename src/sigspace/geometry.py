@@ -6,14 +6,22 @@ basis; at an orthonormal base point this is diagonal with entries
 (gamma^ii)^2 and 2 gamma^ii gamma^jj, and its signature is
 ((p(p+1) + p'(p'+1))/2, p p').  All of Q, alpha and Q^a are invariant
 under the group action, which the residual helpers check numerically.
+
+Each object-level function wraps an array kernel that also takes a stack
+of inverse forms or metrics (``_metric_from_inverse``,
+``one_form_from_inverse``, ``deformed_from``, ``contraction``,
+``pullback_residual``), so batch callers get the same bits without
+building objects.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .forms import Signature, SymmetricForm, inverse_form, signature_of
+from .forms import Signature, SymmetricForm, inverse_form, signature_of, symmetric_part
 from .group import GroupElement, act, action_jacobian
-from .packing import packed_dim, packed_pairs, symmetric_basis
+from .packing import pack, packed_dim, packed_pairs, symmetric_basis
 
 
 class CotangentMetric:
@@ -53,8 +61,7 @@ def _metric_from_inverse(inv: np.ndarray) -> np.ndarray:
     n = inv.shape[-1]
     E = symmetric_basis(n)
     A = np.einsum("...ij,ajk->...aik", inv, E)
-    Q = np.einsum("...aij,...bji->...ab", A, A)
-    return 0.5 * (Q + np.swapaxes(Q, -1, -2))
+    return symmetric_part(np.einsum("...aij,...bji->...ab", A, A))
 
 
 def metric_components(S: SymmetricForm) -> CotangentMetric:
@@ -76,27 +83,54 @@ def metric_signature(S: SymmetricForm) -> Signature:
     return signature_of(SymmetricForm(Q.components), method="eigen")
 
 
+@lru_cache(maxsize=None)
+def _one_form_weights(n: int) -> np.ndarray:
+    weights = np.array([1.0 if i == j else 2.0 for (i, j) in packed_pairs(n)])
+    weights.flags.writeable = False
+    return weights
+
+
+def one_form_from_inverse(inv: np.ndarray) -> np.ndarray:
+    """alpha_I per stacked inverse form: gamma^ii on diagonal coordinates, 2 gamma^ij off it."""
+    return pack(inv) * _one_form_weights(inv.shape[-1])
+
+
 def one_form_components(S: SymmetricForm) -> OneForm:
     """alpha_I: gamma^ii on diagonal coordinates, 2 gamma^ij off-diagonal."""
-    inv = inverse_form(S).entries
-    comps = np.array(
-        [inv[i, j] if i == j else 2.0 * inv[i, j] for (i, j) in packed_pairs(S.n)]
-    )
-    return OneForm(S.n, comps)
+    return OneForm(S.n, one_form_from_inverse(inverse_form(S).entries))
+
+
+def deformed_from(Q: np.ndarray, alpha: np.ndarray, a: float) -> np.ndarray:
+    """Q + a alpha (x) alpha, per stacked (Q, alpha)."""
+    return Q + a * (alpha[..., :, None] * alpha[..., None, :])
 
 
 def deformed_metric(S: SymmetricForm, a: float) -> CotangentMetric:
     """Q^a = Q + a alpha (x) alpha; degenerate exactly at a0 = -1/n."""
-    Q = metric_components(S)
-    alpha = one_form_components(S).components
-    return CotangentMetric(S.n, Q.components + a * np.outer(alpha, alpha))
+    Q = metric_components(S).components
+    return CotangentMetric(S.n, deformed_from(Q, one_form_components(S).components, a))
+
+
+def contraction(Q: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """alpha^T Q^-1 alpha, per stacked (Q, alpha).
+
+    alpha is made C-contiguous first: the inner product's summation order
+    depends on its stride, and a single alpha always has unit stride.
+    """
+    alpha = np.ascontiguousarray(alpha)
+    x = np.linalg.solve(Q, alpha[..., None])
+    return (alpha[..., None, :] @ x)[..., 0, 0]
 
 
 def qinv_alpha_alpha(S: SymmetricForm) -> float:
     """The invariant scalar alpha^T Q^-1 alpha; equals dim V at every base point."""
     Q = metric_components(S).components
-    alpha = one_form_components(S).components
-    return float(alpha @ np.linalg.solve(Q, alpha))
+    return float(contraction(Q, one_form_components(S).components))
+
+
+def pullback_residual(L: np.ndarray, Q_moved: np.ndarray, Q_here: np.ndarray) -> np.ndarray:
+    """max |L^T Q_moved L - Q_here|, per stacked triple."""
+    return np.abs(L.mT @ Q_moved @ L - Q_here).max(axis=(-2, -1))
 
 
 def pullback_invariance_residual(g: GroupElement, S: SymmetricForm) -> float:
@@ -105,7 +139,5 @@ def pullback_invariance_residual(g: GroupElement, S: SymmetricForm) -> float:
     Vanishes (to rounding) because the natural metric is invariant under
     the group action; the contract is residual < 1e-8 * ||Q(S)||_inf.
     """
-    L = action_jacobian(g)
     Q_moved = metric_components(act(g, S)).components
-    Q_here = metric_components(S).components
-    return float(np.max(np.abs(L.T @ Q_moved @ L - Q_here)))
+    return float(pullback_residual(action_jacobian(g), Q_moved, metric_components(S).components))

@@ -12,8 +12,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import NotInvariantSubspace, SignatureMismatch, SingularGroupElement
-from .forms import DEGENERACY_RTOL, SymmetricForm, check_nondegenerate, signature_of
-from .packing import congruence_jacobian
+from .forms import DEGENERACY_RTOL, SymmetricForm, check_nondegenerate, form_entries, signature_of
+from .packing import congruence, congruence_jacobian
 
 # A matrix counts as singular when its smallest singular value is at most
 # this fraction of its largest (condition number 1e9 or more): past that
@@ -21,17 +21,31 @@ from .packing import congruence_jacobian
 SINGULAR_RTOL = 1e-9
 
 
-def is_singular(matrix) -> bool:
+def is_singular(matrix):
     """Whether sigma_min <= SINGULAR_RTOL sigma_max, or some entry is not finite.
 
     Scale-aware, unlike a floor on |det|: 1e-5 I is invertible, while a
-    matrix of condition number 4e9 is not, whatever its determinant.
+    matrix of condition number 4e9 is not, whatever its determinant.  For
+    a stack (..., n, n) the answer is an array, one per matrix.
     """
     a = np.asarray(matrix, dtype=float)
-    if not np.all(np.isfinite(a)):
-        return True
-    sigma = np.linalg.svd(a, compute_uv=False)
-    return not sigma[-1] > SINGULAR_RTOL * sigma[0]
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    sigma = np.linalg.svd(np.where(finite[..., None, None], a, 0.0), compute_uv=False)
+    return ~finite | ~(sigma[..., -1] > SINGULAR_RTOL * sigma[..., 0])
+
+
+def group_entries(a) -> np.ndarray:
+    """The matrix a GroupElement stores for ``a``, per stacked matrix.
+
+    Raises ValueError on a non-finite entry and SingularGroupElement when
+    some matrix is singular in the sense of is_singular.
+    """
+    a = np.array(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("group element entries must be finite")
+    if is_singular(a).any():
+        raise SingularGroupElement(f"sigma_min <= {SINGULAR_RTOL:.0e} sigma_max")
+    return a
 
 
 class GroupElement:
@@ -45,13 +59,10 @@ class GroupElement:
     __slots__ = ("n", "entries", "_inverse", "_jacobian")
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=float)
+        a = np.asarray(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("group element entries must be finite")
-        if is_singular(a):
-            raise SingularGroupElement(f"sigma_min <= {SINGULAR_RTOL:.0e} sigma_max")
+        a = group_entries(a)
         a.flags.writeable = False
         self.n = int(a.shape[0])
         self.entries = a
@@ -96,8 +107,15 @@ def act(g: GroupElement, S: SymmetricForm) -> SymmetricForm:
     """The natural action: coordinates of gamma(g^-1 ., g^-1 .)."""
     if g.n != S.n:
         raise ValueError(f"dimension mismatch: g is {g.n}x{g.n}, form is {S.n}x{S.n}")
-    ginv = g.inverse_entries()
-    return SymmetricForm(ginv.T @ S.entries @ ginv)
+    return SymmetricForm(congruence(g.inverse_entries(), S.entries))
+
+
+def act_entries(ginv: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """act(g, S).entries per stacked pair, from g^-1 and S's entries.
+
+    Runs the SymmetricForm checks on the result (see forms.form_entries).
+    """
+    return form_entries(congruence(ginv, entries))
 
 
 def action_jacobian(g: GroupElement) -> np.ndarray:

@@ -37,6 +37,18 @@ from .packing import congruence_jacobian, packed_dim, unpack
 _CHUNK = 65536
 
 
+def _positive_finite(values: np.ndarray) -> np.ndarray:
+    return (values > 0.0) & (values < np.inf)
+
+
+def check_densities(values) -> None:
+    """Raise ValueError unless every density value is positive and finite."""
+    values = np.asarray(values)
+    bad = ~_positive_finite(values)
+    if bad.any():
+        raise ValueError(f"density must be positive and finite, got {values[bad].flat[0]}")
+
+
 @dataclass(frozen=True)
 class DensityValue:
     """Invariant-measure density at a base form."""
@@ -45,8 +57,7 @@ class DensityValue:
     at: SymmetricForm
 
     def __post_init__(self):
-        if not (self.value > 0.0 and math.isfinite(self.value)):
-            raise ValueError(f"density must be positive and finite, got {self.value}")
+        check_densities(self.value)
 
     def __float__(self) -> float:
         return self.value
@@ -100,10 +111,45 @@ class MCEstimate:
         return self.n_accepted / self.n_samples
 
 
+def density_from_metric(Q: np.ndarray) -> np.ndarray:
+    """sqrt|det Q| per stacked metric, checked positive and finite.
+
+    det Q over- or underflows at n = 6 for forms of scale 1e-8 or 1e8
+    while the density itself is representable; only then is the value
+    taken from slogdet, so every density det can represent keeps its bits.
+    """
+    with np.errstate(over="ignore"):
+        values = np.sqrt(np.abs(np.linalg.det(Q)))
+    lost = ~_positive_finite(values)
+    if lost.any():
+        values = np.array(values)
+        values[lost] = np.exp(0.5 * np.linalg.slogdet(Q[lost])[1])
+        check_densities(values)
+    return values
+
+
 def density(S: SymmetricForm) -> DensityValue:
     """sqrt|det Q_IJ| at S, the natural invariant-measure density."""
-    Q = metric_components(S).components
-    return DensityValue(float(np.sqrt(abs(np.linalg.det(Q)))), S)
+    return DensityValue(float(density_from_metric(metric_components(S).components)), S)
+
+
+def printed_density_n2(inv: np.ndarray) -> np.ndarray:
+    """The printed n = 2 density per stacked inverse form (see density_closed_form).
+
+    The terms are evaluated on Python floats, whose powers are the C
+    library's pow, as for a single form; numpy's vectorised power rounds
+    some of them differently.
+    """
+    g11, g22, g12 = (inv[..., i, j].astype(object) for i, j in ((0, 0), (1, 1), (0, 1)))
+    body = (
+        g11**3 * g22**3
+        + 3.0 * g11 * g22 * g12**4
+        - 3.0 * g11**2 * g22**2 * g12**2
+        - g12**6
+    )
+    values = np.sqrt(2.0 * np.abs(np.asarray(body, dtype=float)))
+    check_densities(values)
+    return values
 
 
 def density_closed_form(S: SymmetricForm) -> DensityValue:
@@ -117,16 +163,13 @@ def density_closed_form(S: SymmetricForm) -> DensityValue:
         val = 1.0 / abs(S.entries[0, 0])
         return DensityValue(val, S)
     if S.n == 2:
-        inv = inverse_form(S).entries
-        g11, g22, g12 = inv[0, 0], inv[1, 1], inv[0, 1]
-        body = (
-            g11**3 * g22**3
-            + 3.0 * g11 * g22 * g12**4
-            - 3.0 * g11**2 * g22**2 * g12**2
-            - g12**6
-        )
-        return DensityValue(float(np.sqrt(2.0 * abs(body))), S)
+        return DensityValue(float(printed_density_n2(inverse_form(S).entries)), S)
     raise UnsupportedDimension(f"closed form only printed for n <= 2, got n = {S.n}")
+
+
+def pushforward_residual(L: np.ndarray, moved: np.ndarray, here: np.ndarray) -> np.ndarray:
+    """|moved |det L| - here|, per stacked Jacobian L and densities moved and here."""
+    return np.abs(moved * np.abs(np.linalg.det(L)) - here)
 
 
 def pushforward_invariance_residual(g: GroupElement, S: SymmetricForm) -> float:
@@ -135,9 +178,8 @@ def pushforward_invariance_residual(g: GroupElement, S: SymmetricForm) -> float:
     Vanishes (to rounding) because the natural measure is invariant; the
     contract is residual < 1e-8 relative to density(S).
     """
-    L = action_jacobian(g)
-    moved = density(act(g, S)).value * abs(np.linalg.det(L))
-    return abs(moved - density(S).value)
+    moved = density(act(g, S)).value
+    return float(pushforward_residual(action_jacobian(g), moved, density(S).value))
 
 
 # Unit roundoff of binary64.

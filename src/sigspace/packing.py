@@ -63,12 +63,17 @@ def unpack(vec: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def congruence(M: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """M^T S M, per matrix of a stack."""
+    return M.mT @ S @ M
+
+
 def congruence_jacobian(M: np.ndarray) -> np.ndarray:
-    """Packed Jacobian L of the congruence S -> M^T S M.
+    """Packed Jacobian L of the congruence S -> M^T S M (per stacked M).
 
     The congruence is linear in the packed coordinates, so L satisfies
     pack(M^T S M) = L @ pack(S) exactly, and det L = (det M)^(n+1).  Its
     column c is pack(M^T E_c M) for the basis matrix E_c.
     """
-    M = np.asarray(M, dtype=float)
-    return pack(M.T @ symmetric_basis(M.shape[0]) @ M).T
+    M = np.asarray(M, dtype=float)[..., None, :, :]
+    return pack(congruence(M, symmetric_basis(M.shape[-1]))).mT

@@ -32,15 +32,17 @@ def _rotation(draw, n):
 
 
 @st.composite
-def conditioned_forms(draw, max_log_cond, max_scale_exp=6):
+def conditioned_forms(draw, max_log_cond, max_scale_exp=6, n=None):
     """(S, signature, condition number) with the conditioning chosen explicitly.
 
     The eigenvalue moduli of S are 10^k times 10^-c_i with the c_i in
     [0, log_cond], the two ends always present, so cond(S) is exactly
     10^log_cond; the overall scale 10^k runs over |k| <= max_scale_exp
-    and the eigenvectors are a seeded random rotation.
+    and the eigenvectors are a seeded random rotation.  The size n is
+    drawn from 1..6 unless given.
     """
-    n = draw(st.integers(min_value=1, max_value=6))
+    if n is None:
+        n = draw(st.integers(min_value=1, max_value=6))
     p = draw(st.integers(min_value=0, max_value=n))
     log_cond = draw(st.floats(min_value=0.0, max_value=max_log_cond)) if n > 1 else 0.0
     k = draw(st.integers(min_value=-max_scale_exp, max_value=max_scale_exp))

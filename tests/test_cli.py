@@ -199,6 +199,8 @@ class TestSuiteCommand:
         report = json.loads(captured.out)
         assert report["results"]["all_passed"] is True
         assert report["results"]["criteria"][0]["index"] == 1
+        assert report["results"]["criteria"][0]["numeric_passed"] is True
+        assert report["results"]["criteria"][0]["within_budget"] is True
         assert "[PASS] criterion 1" in captured.err
 
     def test_suite_failure_exit_code(self, capsys, monkeypatch):
@@ -206,7 +208,7 @@ class TestSuiteCommand:
 
         def failing(seed=0):
             return CriterionResult(
-                index=99, name="stub", passed=False, runtime_s=0.0,
+                index=99, name="stub", numeric_passed=False, runtime_s=0.0,
                 runtime_budget_s=1.0, details={},
             )
 

@@ -12,6 +12,7 @@ from sigspace import (
     SymmetricForm,
     inverse_form,
     random_form,
+    random_forms,
     signature_of,
 )
 from strategies import conditioned_forms, near_degenerate_form
@@ -188,6 +189,61 @@ class TestRandomForm:
                     break
             old = SymmetricForm(B @ eta @ B.T)
             np.testing.assert_array_equal(random_form(sig, rng_seed=seed).entries, old.entries)
+
+
+def _one_at_a_time(sig, rng, count, max_condition=1e6):
+    """(forms, candidates drawn) of a loop that draws one candidate at a time: the reference."""
+    eta = np.diag(np.concatenate((np.ones(sig.p), -np.ones(sig.p_prime))))
+    forms, candidates = [], 0
+    while len(forms) < count:
+        B = rng.uniform(-1.0, 1.0, size=(sig.n, sig.n))
+        candidates += 1
+        if np.linalg.cond(B) < max_condition:
+            forms.append(SymmetricForm(B @ eta @ B.T).entries)
+    return np.array(forms), candidates
+
+
+def _same_state(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.Philox])
+class TestRandomFormsStream:
+    """random_forms draws what successive random_form calls draw, and no more."""
+
+    @pytest.mark.parametrize("sig", [(1, 1), (2, 1), (3, 2), (2, 2)])
+    def test_equals_successive_single_draws(self, bitgen, sig):
+        sig = Signature(*sig)
+        stacked, single, loop = (np.random.Generator(bitgen(11)) for _ in range(3))
+        stack = random_forms(sig, stacked, 300)
+        np.testing.assert_array_equal(stack, [random_form(sig, single).entries for _ in range(300)])
+        np.testing.assert_array_equal(stack, _one_at_a_time(sig, loop, 300)[0])
+        assert _same_state(stacked.bit_generator.state, single.bit_generator.state)
+        assert _same_state(stacked.bit_generator.state, loop.bit_generator.state)
+
+    def test_interleaved_with_integers(self, bitgen):
+        stacked, single = (np.random.Generator(bitgen(5)) for _ in range(2))
+        for _ in range(40):
+            p = int(stacked.integers(0, 4))
+            assert p == int(single.integers(0, 4))
+            count = int(stacked.integers(1, 4))
+            assert count == int(single.integers(1, 4))
+            sig = Signature(p, 3 - p)
+            np.testing.assert_array_equal(
+                random_forms(sig, stacked, count),
+                [random_form(sig, single).entries for _ in range(count)],
+            )
+        assert _same_state(stacked.bit_generator.state, single.bit_generator.state)
+
+    def test_low_condition_bound_needs_several_rounds(self, bitgen):
+        sig = Signature(2, 2)
+        stacked, loop = (np.random.Generator(bitgen(8)) for _ in range(2))
+        reference, candidates = _one_at_a_time(sig, loop, 100, max_condition=5.0)
+        assert candidates > 2 * len(reference)  # most candidates are rejected
+        np.testing.assert_array_equal(random_forms(sig, stacked, 100, max_condition=5.0), reference)
+        assert _same_state(stacked.bit_generator.state, loop.bit_generator.state)
 
 
 class TestStoredValues:

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from sigspace import (
     random_form,
 )
 from sigspace.forms import DEGENERACY_RTOL
+from sigspace.geometry import metric_components
 from sigspace.measure import _density_batch, _eigen_mask, _ldl_certificate, _signature_mask
 from sigspace.packing import congruence_jacobian, pack, unpack
 from strategies import conditioned_forms, conditioned_groups
@@ -56,6 +58,22 @@ class TestDensity:
             expected = 2.0 ** (n * (n - 1) / 4.0) * abs(np.linalg.det(S.entries)) ** (-(n + 1) / 2.0)
             assert abs(density(S).value - expected) < 1e-8 * expected
 
+    @pytest.mark.parametrize("scale", [1e8, 1e-8])
+    def test_density_beyond_the_range_of_det_q(self, scale):
+        # at n = 6, det Q of the 21 x 21 metric is about scale^-42: it
+        # underflows to 0 or overflows to inf, while the density does not
+        rotation, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 6)))
+        S = SymmetricForm((rotation * (scale * np.array([1.0, -2.0, 3.0, -1.5, 2.5, 1.0]))) @ rotation.T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = density(S).value
+        expected = _density_batch(np.linalg.eigvalsh(S.entries)[None, :])[0]
+        assert abs(got - expected) <= 1e-12 * expected
+
+    def test_representable_det_keeps_its_bits(self):
+        S = random_form(Signature(2, 2), 4, max_condition=10)
+        Q = metric_components(S).components
+        assert density(S).value == float(np.sqrt(abs(np.linalg.det(Q))))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_batch_route_matches_metric_route(self, n):
