@@ -5,6 +5,13 @@ each tangent space with the base one, and per-point Jacobians of a
 diffeomorphism.  Transporting the base measure through any such frame
 yields the same (natural) measure on every fiber, which is what the
 frame-independence and diffeomorphism-invariance residuals check.
+
+``transported_density`` is the one transport kernel: one frame, a stack
+of forms, one stacked call per quantity.  ``field_density_at`` and both
+residuals wrap it.  A grid validates all its points with one stacked
+eigenvalue call, and ``deform_metric_field`` evaluates the smoothstep, the
+GL+ path and the congruence once over the points it moves.  Per form,
+these give the bits of the one-form-at-a-time route.
 """
 from __future__ import annotations
 
@@ -13,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridTooCoarse, PointNotInField, SignatureMismatch, SingularFrame
-from .forms import Signature, SymmetricForm, signature_of
+from .forms import Signature, SymmetricForm, _positive_count, check_spectra, form_entries, signature_of, spectra
 from . import measure
 from .group import gl_plus_path, is_singular, lazy_smoothstep, transitive_witness
-from .packing import congruence_jacobian
+from .packing import congruence, congruence_jacobian
 
 
 class PointChart:
@@ -33,8 +40,30 @@ class PointChart:
         self.frame = frame
 
 
-def _natural_density(S: SymmetricForm) -> float:
-    return measure.density(S).value
+def _forms_stack(sample_forms, n: int) -> np.ndarray:
+    return np.array([S.entries for S in sample_forms], dtype=float).reshape(-1, n, n)
+
+
+def _on_stack(base_density):
+    """A density on SymmetricForm objects as a function of stacked coordinate matrices."""
+    if base_density is None:
+        return measure.natural_density
+    return lambda P: np.array(
+        [float(base_density(SymmetricForm(p))) for p in P.reshape(-1, *P.shape[-2:])]
+    ).reshape(P.shape[:-2])
+
+
+def transported_density(chart: PointChart, forms: np.ndarray, base=measure.natural_density) -> np.ndarray:
+    """field_density_at(chart, S) per stacked coordinate matrix S.
+
+    ``base`` maps a stack of coordinate matrices to densities.  The frame
+    is inverted once, the preimages are one stacked congruence, checked as
+    SymmetricForm checks them, and the inverse coordinate map has one
+    |det|.
+    """
+    l_inv = np.linalg.inv(chart.frame)
+    preimages = form_entries(congruence(l_inv, forms))
+    return base(preimages) * abs(np.linalg.det(congruence_jacobian(l_inv)))
 
 
 def field_density_at(chart: PointChart, S_on_x: SymmetricForm, base_density=None) -> float:
@@ -45,11 +74,11 @@ def field_density_at(chart: PointChart, S_on_x: SymmetricForm, base_density=None
     at the preimage (congruence of S by l_x^-1) times the |det| of the
     inverse coordinate map.
     """
-    if base_density is None:
-        base_density = _natural_density
-    l_inv = np.linalg.inv(chart.frame)
-    preimage = SymmetricForm(l_inv.T @ S_on_x.entries @ l_inv)
-    return float(base_density(preimage)) * abs(np.linalg.det(congruence_jacobian(l_inv)))
+    return float(transported_density(chart, S_on_x.entries, _on_stack(base_density)))
+
+
+def _worst_relative(values: np.ndarray, reference: np.ndarray) -> float:
+    return float(np.max(np.abs(values - reference) / np.abs(reference), initial=0.0))
 
 
 def frame_independence_residual(
@@ -63,12 +92,9 @@ def frame_independence_residual(
     Transporting an invariant measure does not depend on the frame, so the
     contract is residual < 1e-9.
     """
-    worst = 0.0
-    for S in sample_forms:
-        d1 = field_density_at(l, S, base_density)
-        d2 = field_density_at(l_prime, S, base_density)
-        worst = max(worst, abs(d1 - d2) / abs(d1))
-    return worst
+    S = _forms_stack(sample_forms, l.frame.shape[0])
+    base = _on_stack(base_density)
+    return _worst_relative(transported_density(l_prime, S, base), transported_density(l, S, base))
 
 
 class DiffeoJacobianField:
@@ -100,16 +126,17 @@ def diffeo_invariance_residual(
     at a form S is the y-density at J^T S J times |det| of the packed
     congruence by J.  Invariance means this equals the x-density.
     """
+    base = _on_stack(base_density)
     worst = 0.0
     for point, (image, jac) in chi.mapping.items():
         if point not in charts or image not in charts:
             raise PointNotInField(f"chi maps {point!r} -> {image!r} outside the field")
+        S = _forms_stack(sample_forms, jac.shape[0])
         jac_det = abs(np.linalg.det(congruence_jacobian(jac)))
-        for S in sample_forms:
-            pulled = SymmetricForm(jac.T @ S.entries @ jac)
-            transformed = field_density_at(charts[point], pulled, base_density) * jac_det
-            direct = field_density_at(charts[image], S, base_density)
-            worst = max(worst, abs(transformed - direct) / abs(direct))
+        pulled = form_entries(congruence(jac, S))
+        transformed = transported_density(charts[point], pulled, base) * jac_det
+        direct = transported_density(charts[image], S, base)
+        worst = max(worst, _worst_relative(transformed, direct))
     return worst
 
 
@@ -134,13 +161,32 @@ class MetricFieldGrid:
     points: list[GridPoint] = field(default_factory=list)
 
     def __post_init__(self):
+        """Check every point's signature, with one stacked eigenvalue call.
+
+        Raises DegenerateForm or SignatureMismatch for the first point that
+        fails either test, naming its id.
+        """
         self.signature = Signature(*self.signature)
-        for pt in self.points:
-            got = signature_of(pt.q, method="eigen")
-            if got != self.signature:
-                raise SignatureMismatch(
-                    f"point {pt.point_id} carries signature {got}, grid declares {self.signature}"
-                )
+        n = self.signature.n
+        sized = next((k for k, pt in enumerate(self.points) if pt.q.n != n), len(self.points))
+        points = self.points[:sized]
+        eigs, scale = spectra(np.array([pt.q.entries for pt in points]).reshape(-1, n, n))
+        counts = _positive_count(eigs)
+        wrong = np.flatnonzero(counts != self.signature.p)
+        end = wrong[0] + 1 if wrong.size else sized
+        # a degenerate point before the first wrong signature is reported first
+        check_spectra(eigs[:end], scale[:end], label=lambda k: f"point {points[k].point_id}")
+        if wrong.size:
+            bad = points[wrong[0]]
+            got = Signature(int(counts[wrong[0]]), n - int(counts[wrong[0]]))
+        elif sized < len(self.points):
+            bad = self.points[sized]
+            got = signature_of(bad.q, method="eigen")
+        else:
+            return
+        raise SignatureMismatch(
+            f"point {bad.point_id} carries signature {got}, grid declares {self.signature}"
+        )
 
     def point(self, point_id: int) -> GridPoint:
         for pt in self.points:
@@ -208,25 +254,21 @@ def deform_metric_field(
         raise ValueError("center point must sit at y = 0")
     if signature_of(target, method="eigen") != grid.signature:
         raise SignatureMismatch("target signature differs from the grid signature")
-    if not any(pt.r_squared >= 1.0 for pt in grid.points):
+    t = np.array([pt.r_squared for pt in grid.points])
+    if not (t >= 1.0).any():
         raise GridTooCoarse("grid has no point with r^2 >= 1")
 
     witness = transitive_witness(center.q, target, positive_det=True)
     g = witness.inverse_entries()  # g^T q_center g = target, det g > 0
-    path = gl_plus_path(g)
+    s = lazy_smoothstep(t, eps)
+    moved = np.flatnonzero(s != 1.0)  # s == 1 keeps a point; it holds for every r^2 > 1
+    M = gl_plus_path(g)(1.0 - s[moved])
+    q = congruence(M, np.array([grid.points[k].q.entries for k in moved]))
 
-    new_points = []
-    for pt in grid.points:
-        t = pt.r_squared
-        if t > 1.0:
-            new_points.append(pt)
-            continue
-        s = lazy_smoothstep(t, eps)
-        if s == 1.0:
-            new_points.append(pt)
-            continue
-        M = path(1.0 - s)
-        new_points.append(GridPoint(pt.point_id, pt.y, SymmetricForm(M.T @ pt.q.entries @ M)))
+    new_points = list(grid.points)
+    for k, entries in zip(moved, q):
+        pt = grid.points[k]
+        new_points[k] = GridPoint(pt.point_id, pt.y, SymmetricForm(entries))
     return MetricFieldGrid(
         dim=grid.dim, signature=grid.signature, spacing=grid.spacing, points=new_points
     )

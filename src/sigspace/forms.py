@@ -142,18 +142,21 @@ def spectra(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigvalsh(entries), np.abs(entries).max(axis=(-2, -1))
 
 
-def check_spectra(eigs: np.ndarray, scale, rtol: float = DEGENERACY_RTOL) -> None:
+def check_spectra(eigs: np.ndarray, scale, rtol: float = DEGENERACY_RTOL, label=None) -> None:
     """Raise DegenerateForm if some |eigenvalue| < rtol * max |gamma_ij|.
 
     ``eigs`` and ``scale`` are as returned by ``spectra``.  This is the one
-    degeneracy test; every pointwise and stacked routine applies it.
+    degeneracy test; every pointwise and stacked routine applies it.  When
+    given, ``label(k)`` names stacked matrix k in the message, for the first
+    degenerate k.
     """
     smallest = np.abs(eigs).min(axis=-1)
     degenerate = (scale == 0.0) | (smallest < rtol * scale)
     if degenerate.any():
         first = np.flatnonzero(degenerate)[0]
+        where = "" if label is None else f"{label(first)}: "
         raise DegenerateForm(
-            f"form is degenerate: min |eigenvalue| = {np.ravel(smallest)[first]:.3e}, "
+            f"{where}form is degenerate: min |eigenvalue| = {np.ravel(smallest)[first]:.3e}, "
             f"scale = {np.ravel(scale)[first]:.3e}"
         )
 
@@ -246,7 +249,7 @@ def inverse_form(S: SymmetricForm, degeneracy_rtol: float = DEGENERACY_RTOL) -> 
 def _checked_inverse(entries: np.ndarray) -> np.ndarray:
     """inv(gamma) per stacked matrix, residual-checked."""
     inv = np.linalg.inv(entries)
-    residual = float(np.abs(inv @ entries - np.eye(entries.shape[-1])).max())
+    residual = float(np.abs(inv @ entries - np.eye(entries.shape[-1])).max(initial=0.0))
     if residual > INVERSE_RTOL:
         raise DegenerateForm(
             f"inverse residual {residual:.3e} exceeds {INVERSE_RTOL:.1e}; "

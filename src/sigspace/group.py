@@ -5,6 +5,15 @@ which in coordinates is the congruence (g^-1)^T S g^-1.  This module
 provides the action, its packed-coordinate Jacobian, orthonormal frames,
 transitivity witnesses, paths inside the positive-determinant component,
 and numeric unimodularity checks via the adjoint representation.
+
+The object-level functions wrap array kernels that also take a stack of
+matrices, with the same checks and exceptions: ``group_entries`` (the
+GroupElement checks), ``act_entries`` (the action) and
+``adjoint_determinants`` (one lstsq for a whole stack of elements).  The
+path ``gl_plus_path`` returns takes a 1-D array of parameters and
+``lazy_smoothstep`` works elementwise, so a curve is evaluated at many
+points with one batched expm.  Per matrix, each kernel gives the bits of
+the object route.
 """
 from __future__ import annotations
 
@@ -201,7 +210,9 @@ def gl_plus_path(g: np.ndarray):
     interpolated through its skew logarithm and the symmetric positive
     factor through fractional powers: xi(u) = expm(u K) P^u.  A real log
     of a general GL+ matrix need not exist, but this factored path always
-    does.
+    does.  The returned path also takes a 1-D array of u and then returns
+    the stack of xi(u_i), from one batched expm, bit for bit the matrices
+    it returns for each u_i alone.
     """
     g = np.asarray(g, dtype=float)
     if np.linalg.det(g) <= 0.0:
@@ -211,24 +222,25 @@ def gl_plus_path(g: np.ndarray):
     d, U = np.linalg.eigh(P)
     log_d = np.log(d)
 
-    def path(u: float) -> np.ndarray:
-        rot = sla.expm(u * K)
-        pos = (U * np.exp(u * log_d)) @ U.T
+    def path(u) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        rot = sla.expm(u[..., None, None] * K)
+        pos = (U * np.exp(u[..., None] * log_d)[..., None, :]) @ U.T
         return rot @ pos
 
     return path
 
 
-def lazy_smoothstep(t: float, eps: float = 0.1) -> float:
+def lazy_smoothstep(t, eps: float = 0.1):
     """Non-decreasing reparameterization, constant on [0, eps] and [1-eps, 1].
 
     Quintic smoothstep of the clamped, rescaled argument; used to make
-    group-valued curves "lazy" (flat near both endpoints).
+    group-valued curves "lazy" (flat near both endpoints).  ``t`` may be
+    an array, evaluated elementwise.
     """
     if not 0.0 <= eps < 0.5:
         raise ValueError("eps must lie in [0, 1/2)")
-    s = (t - eps) / (1.0 - 2.0 * eps)
-    s = min(1.0, max(0.0, s))
+    s = np.clip((np.asarray(t, dtype=float) - eps) / (1.0 - 2.0 * eps), 0.0, 1.0)
     return s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
 
 
@@ -241,13 +253,44 @@ def connecting_path(
 
     The path is xi(u) acting on S, where xi runs through GL+ from the
     identity to the positive-determinant transitivity witness.  Every
-    sample has the common signature of the endpoints.
+    sample has the common signature of the endpoints.  The path is
+    evaluated once, on all ``steps`` values of u.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
     witness = transitive_witness(S, S_target, positive_det=True)
-    path = gl_plus_path(witness.entries)
-    return [act(GroupElement(path(u)), S) for u in np.linspace(0.0, 1.0, steps)]
+    xi = group_entries(gl_plus_path(witness.entries)(np.linspace(0.0, 1.0, steps)))
+    return [SymmetricForm(entries) for entries in congruence(np.linalg.inv(xi), S.entries)]
+
+
+def adjoint_determinants(g: np.ndarray, ginv: np.ndarray, algebra_basis, rtol: float = 1e-8) -> np.ndarray:
+    """adjoint_determinant per stacked pair (g, g^-1), for one basis.
+
+    The basis rank is checked once.  g X g^-1 is built for every g and
+    basis element X, and all of them are solved for their coordinates
+    with one multi-right-hand-side lstsq; each column passes the same
+    residual test, and each element gets one det.  Raises ValueError and
+    NotInvariantSubspace as adjoint_determinant does.
+    """
+    basis = [np.asarray(X, dtype=float) for X in algebra_basis]
+    k = len(basis)
+    if k == 0:
+        raise ValueError("algebra basis must be nonempty")
+    Bmat = np.column_stack([X.ravel() for X in basis])
+    if np.linalg.matrix_rank(Bmat) < k:
+        raise ValueError("algebra basis is linearly dependent")
+    lead, n = g.shape[:-2], g.shape[-1]
+    g, ginv = g.reshape(-1, 1, n, n), ginv.reshape(-1, 1, n, n)
+    Y = (g @ np.stack(basis) @ ginv).reshape(-1, Bmat.shape[0]).T  # column (element, a)
+    coeffs = np.linalg.lstsq(Bmat, Y, rcond=None)[0]
+    residual = np.abs(Bmat @ coeffs - Y).max(axis=0)
+    outside = residual > rtol * np.maximum(1.0, np.abs(Y).max(axis=0))
+    if outside.any():
+        raise NotInvariantSubspace(
+            f"g X g^-1 leaves span(basis): residual {residual[outside][0]:.3e}"
+        )
+    M = coeffs.T.reshape(-1, k, k).mT  # M[:, a] holds the coordinates of g X_a g^-1
+    return np.linalg.det(M).reshape(lead)
 
 
 def adjoint_determinant(
@@ -261,25 +304,7 @@ def adjoint_determinant(
     elements.  Raises NotInvariantSubspace if conjugation leaves the span
     of the basis (checked to ``rtol`` relative).
     """
-    basis = [np.asarray(X, dtype=float) for X in algebra_basis]
-    k = len(basis)
-    if k == 0:
-        raise ValueError("algebra basis must be nonempty")
-    Bmat = np.column_stack([X.ravel() for X in basis])
-    if np.linalg.matrix_rank(Bmat) < k:
-        raise ValueError("algebra basis is linearly dependent")
-    ginv = g.inverse_entries()
-    M = np.empty((k, k))
-    for a, X in enumerate(basis):
-        Y = g.entries @ X @ ginv
-        coeffs, *_ = np.linalg.lstsq(Bmat, Y.ravel(), rcond=None)
-        residual = float(np.max(np.abs(Bmat @ coeffs - Y.ravel())))
-        if residual > rtol * max(1.0, float(np.max(np.abs(Y)))):
-            raise NotInvariantSubspace(
-                f"g X g^-1 leaves span(basis): residual {residual:.3e}"
-            )
-        M[:, a] = coeffs
-    return float(np.linalg.det(M))
+    return float(adjoint_determinants(g.entries, g.inverse_entries(), algebra_basis, rtol))
 
 
 def isotropy_algebra_basis(eta) -> list[np.ndarray]:

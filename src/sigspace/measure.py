@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyDomain, UnsupportedDimension
-from .forms import DEGENERACY_RTOL, Signature, SymmetricForm, inverse_form
-from .geometry import metric_components
+from .forms import DEGENERACY_RTOL, Signature, SymmetricForm, inverse_entries, inverse_form
+from .geometry import _metric_from_inverse, metric_components
 from .group import GroupElement, act, action_jacobian
 from .packing import congruence_jacobian, packed_dim, unpack
 
@@ -126,6 +126,14 @@ def density_from_metric(Q: np.ndarray) -> np.ndarray:
         values[lost] = np.exp(0.5 * np.linalg.slogdet(Q[lost])[1])
         check_densities(values)
     return values
+
+
+def natural_density(entries: np.ndarray) -> np.ndarray:
+    """density(S).value per stacked coordinate matrix, as form_entries returns it.
+
+    Runs the checks of inverse_form, raising DegenerateForm as it does.
+    """
+    return density_from_metric(_metric_from_inverse(inverse_entries(entries)))
 
 
 def density(S: SymmetricForm) -> DensityValue:

@@ -4,13 +4,18 @@ The tracer wraps sigspace module attributes by name, private kernels
 included, from outside the package.  Renaming one of them, or routing a
 command around it, would silently empty a per-layer metric; this test
 installs the tracer, runs a density and an mc command through it, checks
-that every traced layer recorded a span, and uninstalls it again.
+that every traced layer recorded a span, and uninstalls it again.  A
+second run deforms a small grid through the tracer: its point counters
+rely on deform_metric_field returning a grid whose untouched points are
+the input's own objects.
 """
 import importlib.util
 import json
 from pathlib import Path
 
-from sigspace import cli, geometry, measure
+import numpy as np
+
+from sigspace import SymmetricForm, cli, geometry, lazy_smoothstep, make_ball_grid, measure
 
 # private names the tracer wraps, and the span each one records
 TRACED_PRIVATE = {
@@ -56,3 +61,25 @@ def test_tracer_wraps_every_traced_name_and_restores_it(tmp_path):
     for key, original in originals.items():
         assert getattr(*key) is original, key[1]
     assert cli.json is original_json
+
+
+def test_tracer_counts_the_deformed_points(tmp_path, capsys):
+    grid = make_ball_grid(SymmetricForm(np.eye(2)), spacing=0.25)
+    grid_path, target = tmp_path / "grid.json", tmp_path / "target.json"
+    grid_path.write_text(json.dumps(grid.to_dict()))
+    target.write_text(json.dumps({"entries": [[4.0, 0.0], [0.0, 1.0]]}))
+    tracer = _load_spans().Tracer()
+    try:
+        tracer.install()
+        assert cli.main(["deform", "--grid", str(grid_path), "--center", "0", "--target", str(target),
+                         "--out", str(tmp_path / "deformed.json")]) == 0
+    finally:
+        tracer.uninstall()
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    recorded = {span[0] for span in tracer.spans.values()}
+    assert {"field.deform_metric_field", "field.MetricFieldGrid", "group.gl_plus_path"} <= recorded
+    moved, untouched = tracer.counters["field.points_moved"], tracer.counters["field.points_untouched"]
+    assert moved > 0
+    assert moved + untouched == len(grid.points)
+    # a point counts as untouched only while it is the input's own object
+    assert moved == sum(lazy_smoothstep(pt.r_squared) != 1.0 for pt in grid.points)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigspace import (
+    DegenerateForm,
     DiffeoJacobianField,
     GridPoint,
     GridTooCoarse,
@@ -21,6 +24,7 @@ from sigspace import (
     random_form,
     signature_of,
 )
+from strategies import conditioned_forms, conditioned_groups
 
 
 # the 1e-9 transport contracts leave little round-off headroom, so test
@@ -84,6 +88,12 @@ class TestFrameIndependence:
         chart = PointChart("x", _random_frame(rng, 2))
         samples = [random_form(Signature(2, 0), rng) for _ in range(5)]
         assert frame_independence_residual(chart, chart, samples) == 0.0
+
+    def test_no_samples(self):
+        chart = PointChart("x", np.eye(2))
+        assert frame_independence_residual(chart, chart, []) == 0.0
+        chi = DiffeoJacobianField({0: (0, np.eye(2))})
+        assert diffeo_invariance_residual({0: chart}, chi, []) == 0.0
 
     def test_scalar_frames(self):
         samples = [SymmetricForm([[g]]) for g in (0.5, 1.0, 2.0, 7.0)]
@@ -170,6 +180,20 @@ class TestGrid:
         with pytest.raises(SignatureMismatch):
             MetricFieldGrid(dim=2, signature=Signature(2, 0), spacing=1.0, points=points)
 
+    def test_grid_names_the_first_bad_point(self):
+        eye, flat, lorentz = (SymmetricForm(np.diag(d)) for d in ([1.0, 1.0], [1.0, 0.0], [1.0, -1.0]))
+
+        def grid(*forms):
+            points = [GridPoint(10 + k, np.zeros(2), q) for k, q in enumerate(forms)]
+            return MetricFieldGrid(dim=2, signature=Signature(2, 0), spacing=1.0, points=points)
+
+        with pytest.raises(DegenerateForm, match="point 11"):
+            grid(eye, flat, lorentz)
+        with pytest.raises(SignatureMismatch, match="point 11"):
+            grid(eye, lorentz, flat)
+        with pytest.raises(SignatureMismatch, match="point 11"):
+            grid(eye, SymmetricForm(np.eye(3)), flat)
+
 
 class TestDeformMetricField:
     def test_target_equal_to_center_leaves_field(self):
@@ -232,3 +256,36 @@ class TestDeformMetricField:
         interior = max(q for y, q in quotients if y + h < 0.9)
         seam = max(q for y, q in quotients if y + h >= 0.95 and y <= 1.05)
         assert seam < 10.0 * interior
+
+
+# -- properties on conditioned inputs -----------------------------------------
+
+# cond <= 5 for frames, Jacobians and forms, as in acceptance criterion 10:
+# the diffeo residual goes through two congruences and a determinant, and
+# at cond 10 frames and cond 100 forms it reaches 1e-8 by rounding alone
+_LOG_COND = float(np.log10(5.0))
+
+
+def _frame(data, n):
+    return data.draw(conditioned_groups(n, max_log_cond=_LOG_COND)).entries
+
+
+def _charts_and_samples(data, n, count):
+    cases = data.draw(st.lists(conditioned_forms(max_log_cond=_LOG_COND, max_scale_exp=3, n=n), min_size=1, max_size=8))
+    return [PointChart(k, _frame(data, n)) for k in range(count)], [SymmetricForm(S) for S, _, _ in cases]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=1, max_value=4), data=st.data())
+def test_frame_independence_property(n, data):
+    (l, l_prime), samples = _charts_and_samples(data, n, 2)
+    assert frame_independence_residual(l, l_prime, samples) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=1, max_value=4), data=st.data())
+def test_diffeo_invariance_property(n, data):
+    charts, samples = _charts_and_samples(data, n, 3)
+    images = data.draw(st.permutations(range(3)))
+    chi = DiffeoJacobianField({k: (images[k], _frame(data, n)) for k in range(3)})
+    assert diffeo_invariance_residual(dict(enumerate(charts)), chi, samples) < 1e-8
