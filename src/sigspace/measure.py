@@ -11,7 +11,13 @@ Jacobian has determinant (det gamma)^-(n+1) (see congruence_jacobian).
 Monte-Carlo integration runs over explicit boxes in packed coordinates
 with a signature rejection filter, using a counter-based generator
 (Philox) with fixed chunking so that a seed determines the stream
-regardless of worker count.  The filter factors every sample as LDL^T,
+regardless of worker count.  Each chunk makes one pass per quantity: its
+standard uniforms are scaled to the box in place, which gives
+Generator.uniform(lower, upper)'s draws bit for bit; the filter runs once
+over the chunk; the densities take the product of the filter diagonal
+column by column, in np.prod's order; and the integrand sees the chunk
+itself when every row passed, or its accepted rows, gathered once by
+index, otherwise.  The filter factors every sample as LDL^T,
 vectorised across the chunk on the packed coordinates; a backward-error
 bound certifies the inertia (the signature, by Sylvester's law) and the
 distance from degeneracy of almost every row, and the rows it cannot
@@ -57,7 +63,8 @@ class DensityValue:
     at: SymmetricForm
 
     def __post_init__(self):
-        check_densities(self.value)
+        if not 0.0 < self.value < math.inf:
+            raise ValueError(f"density must be positive and finite, got {self.value}")
 
     def __float__(self) -> float:
         return self.value
@@ -137,8 +144,17 @@ def natural_density(entries: np.ndarray) -> np.ndarray:
 
 
 def density(S: SymmetricForm) -> DensityValue:
-    """sqrt|det Q_IJ| at S, the natural invariant-measure density."""
-    return DensityValue(float(density_from_metric(metric_components(S).components)), S)
+    """sqrt|det Q_IJ| at S, the natural invariant-measure density.
+
+    The value is density_from_metric's, taken on Python floats; only a
+    det Q that under- or overflows goes through density_from_metric.
+    """
+    Q = metric_components(S).components
+    with np.errstate(over="ignore"):
+        value = math.sqrt(abs(float(np.linalg.det(Q))))
+    if not 0.0 < value < math.inf:
+        value = float(density_from_metric(Q))
+    return DensityValue(value, S)
 
 
 def printed_density_n2(inv: np.ndarray) -> np.ndarray:
@@ -301,30 +317,63 @@ def _signature_mask(coords: np.ndarray, sig: Signature, rtol: float) -> tuple[np
 
 
 def _density_batch(diag: np.ndarray) -> np.ndarray:
-    """sqrt|det Q| per row of filter diagonals: 2^(n(n-1)/4) |prod diag|^(-(n+1)/2)."""
+    """sqrt|det Q| per row of filter diagonals: 2^(n(n-1)/4) |prod diag|^(-(n+1)/2).
+
+    The product is taken column by column, left to right, which is the
+    order np.prod multiplies along a row, in one pass over the rows per
+    column instead of one short reduction per row.
+    """
     n = diag.shape[-1]
-    return 2.0 ** (n * (n - 1) / 4.0) * np.abs(np.prod(diag, axis=-1)) ** (-(n + 1) / 2.0)
+    values = diag[..., 0].copy()
+    for k in range(1, n):
+        values *= diag[..., k]
+    np.abs(values, out=values)
+    values **= -(n + 1) / 2.0
+    values *= 2.0 ** (n * (n - 1) / 4.0)
+    return values
+
+
+def _draw_chunk(lower: np.ndarray, upper: np.ndarray, seed: int, start: int, count: int) -> np.ndarray:
+    """count uniform rows in [lower, upper) from the Philox substream of the chunk at start.
+
+    Standard uniforms u are scaled in place to lower + (upper - lower) u,
+    entry by entry in C order, which is what Generator.uniform(lower,
+    upper, size=(count, len(lower))) computes, so the rows are its rows bit
+    for bit, without its broadcast over the bound arrays.
+    """
+    rng = np.random.Generator(np.random.Philox(seed).jumped(start // _CHUNK))
+    coords = rng.random((count, len(lower)))
+    coords *= upper - lower
+    coords += lower
+    return coords
 
 
 def _chunk_sums(f, box, seed, start, count, vectorized, rtol):
-    """(sum, sum of squares about the chunk mean, accepted count) of f * density."""
-    bitgen = np.random.Philox(seed)
-    rng = np.random.Generator(bitgen.jumped(start // _CHUNK))
-    coords = rng.uniform(box.lower, box.upper, size=(count, box.N))
+    """(sum, sum of squares about the chunk mean, accepted count) of f * density.
+
+    A chunk whose rows all pass the filter is evaluated as drawn; otherwise
+    its accepted rows are gathered once, by index.
+    """
+    coords = _draw_chunk(box.lower, box.upper, seed, start, count)
     accept, diag = _signature_mask(coords, box.signature, rtol)
+    accepted = int(np.count_nonzero(accept))
     vals = np.zeros(count)
-    if np.any(accept):
-        dens = _density_batch(diag[accept])
+    if accepted:
+        rows = slice(None) if accepted == count else np.flatnonzero(accept)
+        dens = _density_batch(diag[rows])
         if vectorized:
-            fvals = np.asarray(f(coords[accept]), dtype=float)
-            if fvals.shape != (int(np.sum(accept)),):
+            fvals = np.asarray(f(coords[rows]), dtype=float)
+            if fvals.shape != (accepted,):
                 raise ValueError("vectorized integrand must return one value per row")
         else:
-            mats = unpack(coords[accept], box.n)
+            mats = unpack(coords[rows], box.n)
             fvals = np.array([float(f(SymmetricForm(m))) for m in mats])
-        vals[accept] = fvals * dens
+        dens *= fvals
+        vals[rows] = dens
     total = float(np.sum(vals))
-    return total, float(np.sum((vals - total / count) ** 2)), int(np.sum(accept))
+    vals -= total / count
+    vals *= vals
+    return total, float(np.sum(vals)), accepted
 
 
 def mc_integrate(
@@ -398,10 +447,17 @@ def radial_bump(center, radius: float):
 
     def f(coords: np.ndarray) -> np.ndarray:
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        u2 = np.sum(((coords - center) / radius) ** 2, axis=-1)
+        scaled = coords - center
+        scaled /= radius
+        scaled *= scaled
+        u2 = np.sum(scaled, axis=-1)
         out = np.zeros(u2.shape)
-        inside = u2 < 1.0
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - u2[inside]))
+        inside = np.flatnonzero(u2 < 1.0)
+        t = u2[inside]
+        np.subtract(1.0, t, out=t)
+        np.divide(1.0, t, out=t)
+        np.subtract(1.0, t, out=t)
+        out[inside] = np.exp(t, out=t)
         return out
 
     return f

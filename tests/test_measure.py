@@ -24,7 +24,17 @@ from sigspace import (
 )
 from sigspace.forms import DEGENERACY_RTOL
 from sigspace.geometry import metric_components
-from sigspace.measure import _density_batch, _eigen_mask, _ldl_certificate, _signature_mask
+from sigspace.measure import (
+    _CHUNK,
+    DensityValue,
+    _chunk_sums,
+    _density_batch,
+    _draw_chunk,
+    _eigen_mask,
+    _ldl_certificate,
+    _signature_mask,
+    density_from_metric,
+)
 from sigspace.packing import congruence_jacobian, pack, unpack
 from strategies import conditioned_forms, conditioned_groups
 
@@ -385,3 +395,192 @@ class TestInvarianceExperiment:
             f, GroupElement(np.diag([2.0, 1.0])), box, 12, 200000, vectorized=True
         )
         assert abs(report.difference_sigmas) < 3.0
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _radial_bump_reference(center, radius):
+    """radial_bump as first written, with a temporary per operation."""
+    center = np.asarray(center, dtype=float)
+
+    def f(coords):
+        coords = np.atleast_2d(np.asarray(coords, dtype=float))
+        u2 = np.sum(((coords - center) / radius) ** 2, axis=-1)
+        out = np.zeros(u2.shape)
+        inside = u2 < 1.0
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - u2[inside]))
+        return out
+
+    return f
+
+
+def _density_batch_reference(diag):
+    n = diag.shape[-1]
+    return 2.0 ** (n * (n - 1) / 4.0) * np.abs(np.prod(diag, axis=-1)) ** (-(n + 1) / 2.0)
+
+
+def _chunk_sums_reference(f, box, seed, start, count, vectorized, rtol):
+    """_chunk_sums as first written: Generator.uniform, np.prod and boolean gathers."""
+    rng = np.random.Generator(np.random.Philox(seed).jumped(start // _CHUNK))
+    coords = rng.uniform(box.lower, box.upper, size=(count, box.N))
+    accept, diag = _signature_mask(coords, box.signature, rtol)
+    vals = np.zeros(count)
+    if np.any(accept):
+        dens = _density_batch_reference(diag[accept])
+        if vectorized:
+            fvals = np.asarray(f(coords[accept]), dtype=float)
+            if fvals.shape != (int(np.sum(accept)),):
+                raise ValueError("vectorized integrand must return one value per row")
+        else:
+            mats = unpack(coords[accept], box.n)
+            fvals = np.array([float(f(SymmetricForm(m))) for m in mats])
+        vals[accept] = fvals * dens
+    total = float(np.sum(vals))
+    return total, float(np.sum((vals - total / count) ** 2)), int(np.sum(accept))
+
+
+_SIGNATURES = {1: Signature(1, 0), 2: Signature(1, 1), 3: Signature(2, 1), 4: Signature(2, 2)}
+
+
+def _chunk_box(n, acceptance):
+    """A box around a form of signature (ceil(n/2), floor(n/2)) where every,
+    some or no proposal has the box signature."""
+    sig = _SIGNATURES[n]
+    center = pack(np.diag([1.0 if k < sig.p else -1.0 for k in range(n)]))
+    # entries within 0.1 of diag(+-1) move each eigenvalue by at most 0.1 n < 1;
+    # within 1.5, some diagonal entries change sign
+    half_width = 1.5 if acceptance == "partial" else 0.1
+    if acceptance == "none":
+        sig = Signature(0, n) if n == 1 else Signature(n, 0)
+    return BoxDomain(sig, center - half_width, center + half_width)
+
+
+class TestChunkKernel:
+    """The chunk kernel gives the reference's (sum, m2, accepted) bit for bit."""
+
+    @pytest.mark.parametrize("acceptance", ["all", "partial", "none"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_vectorized_chunks_match_reference(self, n, acceptance):
+        box = _chunk_box(n, acceptance)
+        center, radius = (box.lower + box.upper) / 2.0, 0.75 * float(np.min(box.upper - box.lower))
+        new, reference = radial_bump(center, radius), _radial_bump_reference(center, radius)
+        # a full chunk and a last chunk shorter than _CHUNK, on a later substream
+        for start, count in ((0, _CHUNK), (2 * _CHUNK, 1000)):
+            got = _chunk_sums(new, box, 31 + n, start, count, True, DEGENERACY_RTOL)
+            want = _chunk_sums_reference(reference, box, 31 + n, start, count, True, DEGENERACY_RTOL)
+            assert got == want
+            accepted = {"all": count, "none": 0}.get(acceptance)
+            if accepted is None:
+                assert 0 < got[2] < count
+            else:
+                assert got[2] == accepted
+
+    def test_chunk_with_one_rejected_row(self):
+        # gamma drawn in [-1e-3, 1]: at seed 2, one of the 1000 rows is negative;
+        # the bump and the density are nonzero there, so it must be left out
+        box = BoxDomain(Signature(1, 0), [-1e-3], [1.0])
+        new, reference = radial_bump([0.5], 0.6), _radial_bump_reference([0.5], 0.6)
+        got = _chunk_sums(new, box, 2, 0, 1000, True, DEGENERACY_RTOL)
+        assert got == _chunk_sums_reference(reference, box, 2, 0, 1000, True, DEGENERACY_RTOL)
+        assert got[2] == 999
+
+    @pytest.mark.parametrize("acceptance", ["all", "partial", "none"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_form_integrand_chunks_match_reference(self, n, acceptance):
+        box = _chunk_box(n, acceptance)
+
+        def f(S):
+            return S.entries[0, 0] ** 2 + np.sum(S.entries[-1])
+
+        # a last chunk shorter than _CHUNK: one SymmetricForm per row is slow
+        got = _chunk_sums(f, box, 41 + n, _CHUNK, 1500, False, DEGENERACY_RTOL)
+        assert got == _chunk_sums_reference(f, box, 41 + n, _CHUNK, 1500, False, DEGENERACY_RTOL)
+
+    @pytest.mark.parametrize("acceptance", ["all", "partial"])
+    def test_vectorized_shape_error(self, acceptance):
+        box = _chunk_box(2, acceptance)
+        with pytest.raises(ValueError, match="one value per row"):
+            _chunk_sums(lambda coords: np.ones((len(coords), 1)), box, 5, 0, 2000, True, DEGENERACY_RTOL)
+
+    def test_threads_leave_the_estimate_unchanged(self):
+        # two full chunks and a short one, some proposals rejected
+        box = _chunk_box(2, "partial")
+        f = radial_bump((box.lower + box.upper) / 2.0, 0.8)
+        n_samples = 2 * _CHUNK + 4321
+        serial = mc_integrate(f, box, 17, n_samples, vectorized=True, threads=None)
+        threaded = mc_integrate(f, box, 17, n_samples, vectorized=True, threads=2)
+        assert serial == threaded
+        assert 0 < serial.n_accepted < n_samples
+
+
+class TestChunkHelpers:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        N=st.integers(min_value=1, max_value=21),
+        count=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+        chunk=st.integers(min_value=0, max_value=40),
+    )
+    def test_draw_is_generator_uniform(self, data, N, count, seed, chunk):
+        # numpy's uniform computes low + (high - low) * u per entry in C order;
+        # the in-place draw relies on exactly that
+        lower = np.array(data.draw(st.lists(
+            st.floats(min_value=-1e3, max_value=1e3), min_size=N, max_size=N)))
+        log_widths = data.draw(st.lists(st.floats(min_value=-8.0, max_value=3.0), min_size=N, max_size=N))
+        upper = lower + 10.0 ** np.array(log_widths)
+        want = np.random.Generator(np.random.Philox(seed).jumped(chunk)).uniform(lower, upper, size=(count, N))
+        _assert_same_bits(_draw_chunk(lower, upper, seed, chunk * _CHUNK, count), want)
+
+    @pytest.mark.parametrize("N", [1, 3, 6, 10])
+    def test_radial_bump_matches_reference(self, N):
+        rng = np.random.default_rng(N)
+        center, radius = rng.uniform(-2.0, 2.0, size=N), 0.7
+        # the cube around the ball, and the exact boundary points c +- r e_k,
+        # where u^2 = 1 and the value is 0
+        coords = np.concatenate((
+            rng.uniform(center - radius, center + radius, size=(5000, N)),
+            center + radius * np.eye(N), center - radius * np.eye(N),
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # 1 / (1 - u^2) is taken inside the support only
+            got = radial_bump(center, radius)(coords)
+        _assert_same_bits(got, _radial_bump_reference(center, radius)(coords))
+        assert 0 < np.count_nonzero(got) < 5000
+        assert not got[5000:].any()
+
+    def test_radial_bump_single_point_and_all_outside(self):
+        center = np.array([1.0, 0.0, 1.0])
+        new, reference = radial_bump(center, 0.3), _radial_bump_reference(center, 0.3)
+        point = np.array([1.1, 0.05, 0.95])
+        _assert_same_bits(new(point), reference(point))
+        assert new(point).shape == (1,) and new(point)[0] > 0.0
+        outside = center + np.random.default_rng(9).uniform(0.31, 1.0, size=(100, 3))
+        _assert_same_bits(new(outside), reference(outside))
+        assert not new(outside).any()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_density_batch_matches_prod_route(self, n):
+        rng = np.random.default_rng(60 + n)
+        diag = rng.choice([-1.0, 1.0], size=(4000, n)) * 10.0 ** rng.uniform(-20.0, 20.0, size=(4000, n))
+        _assert_same_bits(_density_batch(diag), _density_batch_reference(diag))
+
+
+class TestDensityValue:
+    @pytest.mark.parametrize("value, shown", [(0.0, "0.0"), (np.inf, "inf"), (np.nan, "nan"), (-2.5, "-2.5")])
+    def test_rejects_values_that_are_no_density(self, value, shown):
+        with pytest.raises(ValueError, match=f"^density must be positive and finite, got {shown}$"):
+            DensityValue(value, SymmetricForm([[1.0]]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=conditioned_forms(max_log_cond=4.0))
+    def test_scalar_density_is_the_stacked_value(self, case):
+        # density takes its value on Python floats, density_from_metric on arrays
+        S = SymmetricForm(case[0])
+        value = density(S).value
+        assert type(value) is float
+        _assert_same_bits(value, float(density_from_metric(metric_components(S).components)))
