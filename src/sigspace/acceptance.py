@@ -13,7 +13,10 @@ stacked call of the kernel behind the matching object-level function,
 with the same checks and exceptions.  The draws come from the same stream
 in the same order as the one-at-a-time loops, and the reported numbers
 are bit for bit those of those loops.  Criteria 1, 6 and 9 stay
-pointwise; criterion 7 is Monte-Carlo over the batched sampler.  A
+pointwise; criterion 7 is Monte-Carlo over the batched sampler.
+Criteria 3, 6, 9 and 11 take their identities from the library
+(``geometry.metric_signature_law``, the ``projective`` residuals and
+draws, ``field.deformation_residuals``), the same code the CLI calls.  A
 result says apart whether the numbers passed (``numeric_passed``) and
 whether the criterion ran within its time budget (``within_budget``).
 """
@@ -30,6 +33,7 @@ from .field import (
     DiffeoJacobianField,
     PointChart,
     deform_metric_field,
+    deformation_residuals,
     diffeo_invariance_residual,
     frame_independence_residual,
     make_ball_grid,
@@ -50,6 +54,7 @@ from .geometry import (
     contraction,
     deformed_from,
     deformed_metric,
+    metric_signature_law,
     one_form_from_inverse,
     pullback_residual,
 )
@@ -73,15 +78,18 @@ from .measure import (
 from .packing import congruence_jacobian
 from .projective import (
     Label,
-    Observable,
-    StateDensity,
-    StateField,
     TensorSpace,
-    embed_observable,
+    dyadic_state,
+    embedding_residuals,
     extend_state,
+    net_residual,
     pure_state_net,
+    random_observable,
+    random_state,
+    random_state_field,
     rescale_isomorphism_check,
     restrict_state,
+    tower_residual,
 )
 
 _TEST_COND = 30.0
@@ -189,10 +197,7 @@ def criterion_3_q_signature(seed=2) -> CriterionResult:
         failures = 0
         for n in range(1, 6):
             for sig in _all_signatures(n):
-                expected = Signature(
-                    (sig.p * (sig.p + 1) + sig.p_prime * (sig.p_prime + 1)) // 2,
-                    sig.p * sig.p_prime,
-                )
+                expected = metric_signature_law(sig)
                 S = form_entries(random_forms(sig, rng, 100, max_condition=_TEST_COND))
                 Q = _metric_from_inverse(inverse_entries(S))
                 # Q's signature has p + p' = N, so comparing p compares both
@@ -275,8 +280,8 @@ def criterion_6_signature_jump(seed=5) -> CriterionResult:
         for n in (2, 3):
             a0 = -1.0 / n
             for sig in _all_signatures(n):
-                plus = (sig.p * (sig.p + 1) + sig.p_prime * (sig.p_prime + 1)) // 2
-                minus = sig.p * sig.p_prime
+                above_a0 = metric_signature_law(sig)
+                below_a0 = Signature(above_a0.p - 1, above_a0.p_prime + 1)
                 for _ in range(25):
                     S = _well_conditioned_form(rng, sig)
                     below = signature_of(
@@ -287,10 +292,7 @@ def criterion_6_signature_jump(seed=5) -> CriterionResult:
                         SymmetricForm(deformed_metric(S, 0.5 * a0).components),
                         method="eigen",
                     )
-                    if below != Signature(plus - 1, minus + 1):
-                        failures += 1
-                    if above != Signature(plus, minus):
-                        failures += 1
+                    failures += (below != below_a0) + (above != above_a0)
         return failures == 0, {"mismatches": failures}
 
     return _timed(6, "deformed metric signature jump", 5.0, run, seed)
@@ -366,106 +368,33 @@ def criterion_8_unimodularity(seed=7) -> CriterionResult:
     return _timed(8, "unimodularity spot-checks", 5.0, run, seed)
 
 
-def _dyadic_state(space: TensorSpace, rng) -> StateDensity:
-    """Random density matrix whose entries are short dyadics (exactly summable)."""
-    D = space.total_dim
-    if D == 1:
-        return StateDensity(space, np.eye(1, dtype=complex))
-    cuts = np.sort(rng.choice(np.arange(1, 64), size=D - 1, replace=False))
-    parts = np.diff(np.concatenate(([0], cuts, [64])))
-    mat = np.diag(parts.astype(complex) / 64.0)
-    for i in range(D):
-        for j in range(i + 1, D):
-            # small dyadic off-diagonals keep the matrix diagonally dominant
-            mat[i, j] = complex(rng.integers(-3, 4), rng.integers(-3, 4)) / 32768.0
-            mat[j, i] = np.conjugate(mat[i, j])
-    return StateDensity(space, mat)
-
-
-def _random_psd_state(space: TensorSpace, rng) -> StateDensity:
-    D = space.total_dim
-    A = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-    M = A @ A.conj().T
-    return StateDensity(space, M / np.trace(M).real)
-
-
-def _random_observable(space: TensorSpace, rng) -> Observable:
-    D = space.total_dim
-    A = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-    return Observable(space, A / np.max(np.abs(A)))
-
-
 def criterion_9_projective(seed=8) -> CriterionResult:
     """Embedding/restriction identities on random 3-point systems, dims <= 3."""
 
     def run(rng):
         tol = 1e-12
-        worst = {
-            "unital": 0.0, "multiplicative": 0.0, "star": 0.0, "isometric": 0.0,
-            "duality": 0.0, "tower": 0.0, "surjective": 0.0, "net": 0.0, "rescale": 0.0,
-        }
+        worst = {}
+        lam = Label({1, 2})
+        lam_prime = Label({1, 2, 3})
+        labels = [Label(s) for s in ({1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3})]
         for _ in range(10):
             dims = {k: int(rng.integers(2, 4)) for k in (1, 2, 3)}
-            lam = Label({1, 2})
-            lam_prime = Label({1, 2, 3})
             space = TensorSpace(lam, dims)
-            a = _random_observable(space, rng)
-            b = _random_observable(space, rng)
-
-            iota_one = embed_observable(Observable.identity(space), lam_prime, dims)
-            worst["unital"] = max(worst["unital"], float(np.max(np.abs(
-                iota_one.matrix - np.eye(iota_one.space.total_dim)
-            ))))
-            iota_a = embed_observable(a, lam_prime, dims).matrix
-            iota_b = embed_observable(b, lam_prime, dims).matrix
-            ab = Observable(space, a.matrix @ b.matrix)
-            worst["multiplicative"] = max(worst["multiplicative"], float(np.max(np.abs(
-                embed_observable(ab, lam_prime, dims).matrix - iota_a @ iota_b
-            ))))
-            a_star = Observable(space, a.matrix.conj().T)
-            worst["star"] = max(worst["star"], float(np.max(np.abs(
-                embed_observable(a_star, lam_prime, dims).matrix - iota_a.conj().T
-            ))))
-            worst["isometric"] = max(worst["isometric"], abs(
-                np.linalg.norm(iota_a, 2) - np.linalg.norm(a.matrix, 2)
-            ))
-
-            rho = _random_psd_state(TensorSpace(lam_prime, dims), rng)
-            worst["duality"] = max(worst["duality"], abs(
-                np.trace(restrict_state(rho, lam).matrix @ a.matrix)
-                - np.trace(rho.matrix @ iota_a)
-            ))
-
-            chain = (Label({1}), Label({1, 2}), Label({1, 2, 3}))
-            rho_d = _dyadic_state(TensorSpace(chain[2], dims), rng)
-            direct = restrict_state(rho_d, chain[0]).matrix
-            composed = restrict_state(restrict_state(rho_d, chain[1]), chain[0]).matrix
-            worst["tower"] = max(worst["tower"], float(np.max(np.abs(direct - composed))))
-
-            target = _random_psd_state(space, rng)
+            a = random_observable(space, rng)
+            b = random_observable(space, rng)
+            measured = embedding_residuals(a, b, random_state(TensorSpace(lam_prime, dims), rng), dims)
+            # dyadic entries make every partial-trace sum exact: the tower must read 0.0
+            rho_d = dyadic_state(TensorSpace(lam_prime, dims), rng)
+            measured["tower"] = tower_residual(rho_d, (Label({1}), lam))
+            target = random_state(space, rng)
             back = restrict_state(extend_state(target, lam_prime, dims), lam)
-            worst["surjective"] = max(worst["surjective"], float(np.max(np.abs(
-                back.matrix - target.matrix
-            ))))
-
-            vectors = {}
-            for k in (1, 2, 3):
-                v = rng.standard_normal(dims[k]) + 1j * rng.standard_normal(dims[k])
-                vectors[k] = v / np.linalg.norm(v)
-            fld = StateField(vectors)
-            labels = [Label(s) for s in ({1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3})]
-            net = pure_state_net(fld, labels)
-            for small in labels:
-                for big in labels:
-                    if small != big and small.issubset(big):
-                        worst["net"] = max(worst["net"], float(np.max(np.abs(
-                            restrict_state(net[big], small).matrix - net[small].matrix
-                        ))))
-
-            for c in (0.5, 2.0, 4.0):
-                worst["rescale"] = max(
-                    worst["rescale"], rescale_isomorphism_check(c, a, lam, lam_prime, dims)
-                )
+            measured["surjective"] = float(np.max(np.abs(back.matrix - target.matrix)))
+            measured["net"] = net_residual(pure_state_net(random_state_field(dims, rng), labels))
+            measured["rescale"] = max(
+                rescale_isomorphism_check(c, a, lam, lam_prime, dims) for c in (0.5, 2.0, 4.0)
+            )
+            for key, value in measured.items():
+                worst[key] = max(worst.get(key, 0.0), value)
         passed = worst["tower"] == 0.0 and all(
             v <= tol for k, v in worst.items() if k != "tower"
         )
@@ -538,13 +467,11 @@ def criterion_11_deformation(seed=10) -> CriterionResult:
         exterior_changed = 0
         for base, target in cases:
             grid = make_ball_grid(base, spacing=0.05)
-            deformed = deform_metric_field(grid, 0, target)
             # grid construction revalidates every point's signature
-            center_res = float(np.max(np.abs(deformed.point(0).q.entries - target.entries)))
-            worst_center = max(worst_center, center_res)
-            for before, after in zip(grid.points, deformed.points):
-                if before.r_squared >= 1.0 and after.q is not before.q:
-                    exterior_changed += 1
+            deformed = deform_metric_field(grid, 0, target)
+            center, changed = deformation_residuals(grid, deformed, 0, target)
+            worst_center = max(worst_center, center)
+            exterior_changed += changed
         details["max_center_residual"] = worst_center
         details["exterior_points_changed"] = exterior_changed
 

@@ -4,6 +4,12 @@ Reports are deterministic for a fixed argv and seed; the only varying
 fields live under "meta" (timestamp and wall time), which golden-file
 comparisons drop.  Exit codes: 0 all checks passed, 1 a contract check
 failed, 2 malformed input (with a machine-readable error object).
+
+``deform`` and ``projective-demo`` compute no residual of their own: they
+call the library checks the acceptance battery also calls
+(``field.deformation_residuals``, ``projective.embedding_residuals``,
+``tower_residual`` and ``net_residual``) and judge them by their own
+contracts.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ import numpy as np
 
 from . import acceptance
 from .errors import SigspaceError
-from .field import MetricFieldGrid, deform_metric_field
+from .field import MetricFieldGrid, deform_metric_field, deformation_residuals
 from .forms import SymmetricForm, signature_of
 from .geometry import (
     deformed_metric,
@@ -32,14 +38,15 @@ from .group import GroupElement, act, transitive_witness
 from .measure import BoxDomain, density, density_closed_form, invariance_experiment, mc_integrate, radial_bump
 from .projective import (
     Label,
-    Observable,
-    StateDensity,
-    StateField,
     TensorSpace,
-    embed_observable,
+    embedding_residuals,
+    net_residual,
     pure_state_net,
+    random_observable,
+    random_state,
+    random_state_field,
     rescale_isomorphism_check,
-    restrict_state,
+    tower_residual,
 )
 
 
@@ -203,14 +210,7 @@ def _cmd_deform(args):
     grid = MetricFieldGrid.from_dict(_load_json(args.grid))
     target = _load_form(args.target)
     deformed = deform_metric_field(grid, args.center, target)
-    center_residual = float(
-        np.max(np.abs(deformed.point(args.center).q.entries - target.entries))
-    )
-    exterior_changed = sum(
-        1
-        for before, after in zip(grid.points, deformed.points)
-        if before.r_squared >= 1.0 and after.q is not before.q
-    )
+    center_residual, exterior_changed = deformation_residuals(grid, deformed, args.center, target)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(deformed.to_dict(), handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -228,74 +228,21 @@ def _cmd_deform(args):
 
 
 def _cmd_projective_demo(args):
+    if args.points < 3:
+        raise ValueError(f"--points must be at least 3 for the tower check, got {args.points}")
     rng = np.random.default_rng(args.seed)
     points = list(range(1, args.points + 1))
     dims = {k: args.dim for k in points}
-    lam = Label(points[:-1]) if len(points) > 1 else Label(points)
-    lam_prime = Label(points)
+    chain = [Label(points[:k]) for k in points]
+    lam, lam_prime = chain[-2], chain[-1]
     space = TensorSpace(lam, dims)
-    D = space.total_dim
-
-    A = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-    a = Observable(space, A / np.max(np.abs(A)))
-    B = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-    b = Observable(space, B / np.max(np.abs(B)))
-    iota_a = embed_observable(a, lam_prime, dims)
-
-    iota_one = embed_observable(Observable.identity(space), lam_prime, dims)
-    unital = float(np.max(np.abs(iota_one.matrix - np.eye(iota_one.space.total_dim))))
-    multiplicative = float(np.max(np.abs(
-        embed_observable(Observable(space, a.matrix @ b.matrix), lam_prime, dims).matrix
-        - iota_a.matrix @ embed_observable(b, lam_prime, dims).matrix
-    )))
-    star = float(np.max(np.abs(
-        embed_observable(Observable(space, a.matrix.conj().T), lam_prime, dims).matrix
-        - iota_a.matrix.conj().T
-    )))
-    isometric = abs(np.linalg.norm(iota_a.matrix, 2) - np.linalg.norm(a.matrix, 2))
-
-    M = rng.standard_normal((iota_a.space.total_dim,) * 2) + 1j * rng.standard_normal(
-        (iota_a.space.total_dim,) * 2
-    )
-    M = M @ M.conj().T
-    rho = StateDensity(iota_a.space, M / np.trace(M).real)
-    duality = abs(
-        np.trace(restrict_state(rho, lam).matrix @ a.matrix)
-        - np.trace(rho.matrix @ iota_a.matrix)
-    )
-
-    chain = [Label(points[: k + 1]) for k in range(len(points))]
-    tower = 0.0
-    if len(chain) >= 3:
-        direct = restrict_state(rho, chain[0]).matrix
-        composed = restrict_state(restrict_state(rho, chain[1]), chain[0]).matrix
-        tower = float(np.max(np.abs(direct - composed)))
-
-    vectors = {}
-    for k in points:
-        v = rng.standard_normal(dims[k]) + 1j * rng.standard_normal(dims[k])
-        vectors[k] = v / np.linalg.norm(v)
-    net = pure_state_net(StateField(vectors), chain)
-    net_residual = 0.0
-    for small in chain:
-        for big in chain:
-            if small != big and small.issubset(big):
-                net_residual = max(net_residual, float(np.max(np.abs(
-                    restrict_state(net[big], small).matrix - net[small].matrix
-                ))))
-
-    rescale = rescale_isomorphism_check(args.rescale_c, a, lam, lam_prime, dims)
-
-    residuals = {
-        "unital": unital,
-        "multiplicative": multiplicative,
-        "star": star,
-        "isometric": isometric,
-        "duality": duality,
-        "tower": tower,
-        "net_consistency": net_residual,
-        "rescale": rescale,
-    }
+    a = random_observable(space, rng)
+    b = random_observable(space, rng)
+    rho = random_state(TensorSpace(lam_prime, dims), rng)
+    residuals = embedding_residuals(a, b, rho, dims)
+    residuals["tower"] = tower_residual(rho, chain[:2])
+    residuals["net_consistency"] = net_residual(pure_state_net(random_state_field(dims, rng), chain))
+    residuals["rescale"] = rescale_isomorphism_check(args.rescale_c, a, lam, lam_prime, dims)
     checks = [_check(name, value, 1e-12) for name, value in residuals.items()]
     return {"residuals": residuals, "dims": dims, "rescale_c": args.rescale_c}, checks
 

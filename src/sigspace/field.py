@@ -12,6 +12,8 @@ residuals wrap it.  A grid validates all its points with one stacked
 eigenvalue call, and ``deform_metric_field`` evaluates the smoothstep, the
 GL+ path and the congruence once over the points it moves.  Per form,
 these give the bits of the one-form-at-a-time route.
+``deformation_residuals`` is the one check of a deformation's center
+value and untouched exterior, shared by the CLI and the acceptance battery.
 """
 from __future__ import annotations
 
@@ -272,3 +274,21 @@ def deform_metric_field(
     return MetricFieldGrid(
         dim=grid.dim, signature=grid.signature, spacing=grid.spacing, points=new_points
     )
+
+
+def deformation_residuals(
+    grid: MetricFieldGrid, deformed: MetricFieldGrid, center_id: int, target: SymmetricForm
+) -> tuple[float, int]:
+    """(center residual, exterior points changed) of a deformation of ``grid``.
+
+    The center residual is max |q_center - target| on the deformed grid.
+    A point with r^2 >= 1 counts as changed unless the deformed grid
+    carries the input's own form object there.
+    """
+    center = float(np.max(np.abs(deformed.point(center_id).q.entries - target.entries)))
+    changed = sum(
+        1
+        for before, after in zip(grid.points, deformed.points)
+        if before.r_squared >= 1.0 and after.q is not before.q
+    )
+    return center, changed

@@ -4,7 +4,8 @@ In packed coordinates the metric has components
 Q_IJ = trace(gamma^-1 E_I gamma^-1 E_J) with E_I the symmetrized tangent
 basis; at an orthonormal base point this is diagonal with entries
 (gamma^ii)^2 and 2 gamma^ii gamma^jj, and its signature is
-((p(p+1) + p'(p'+1))/2, p p').  All of Q, alpha and Q^a are invariant
+((p(p+1) + p'(p'+1))/2, p p'), the law ``metric_signature_law`` states
+once for every check.  All of Q, alpha and Q^a are invariant
 under the group action, which the residual helpers check numerically.
 
 Each object-level function wraps an array kernel that also takes a stack
@@ -77,8 +78,14 @@ def metric_components(S: SymmetricForm) -> CotangentMetric:
     return CotangentMetric(S.n, Q)
 
 
+def metric_signature_law(sig: Signature) -> Signature:
+    """The signature ((p(p+1)+p'(p'+1))/2, p p') of Q_IJ at a form of signature (p, p')."""
+    p, q = sig.p, sig.p_prime
+    return Signature((p * (p + 1) + q * (q + 1)) // 2, p * q)
+
+
 def metric_signature(S: SymmetricForm) -> Signature:
-    """Signature of Q_IJ; equals ((p(p+1)+p'(p'+1))/2, p p') for S of signature (p, p')."""
+    """Signature of Q_IJ, computed; ``metric_signature_law`` gives its expected value."""
     Q = metric_components(S)
     return signature_of(SymmetricForm(Q.components), method="eigen")
 
@@ -112,12 +119,7 @@ def deformed_metric(S: SymmetricForm, a: float) -> CotangentMetric:
 
 
 def contraction(Q: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """alpha^T Q^-1 alpha, per stacked (Q, alpha).
-
-    alpha is made C-contiguous first: the inner product's summation order
-    depends on its stride, and a single alpha always has unit stride.
-    """
-    alpha = np.ascontiguousarray(alpha)
+    """alpha^T Q^-1 alpha, per stacked (Q, alpha)."""
     x = np.linalg.solve(Q, alpha[..., None])
     return (alpha[..., None, :] @ x)[..., 0, 0]
 

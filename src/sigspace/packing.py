@@ -47,10 +47,15 @@ def symmetric_basis(n: int) -> np.ndarray:
 
 
 def pack(matrix: np.ndarray) -> np.ndarray:
-    """Packed coordinate vector of a symmetric matrix (or batch thereof)."""
+    """Packed coordinate vector of a symmetric matrix (or batch thereof), in C order.
+
+    The fancy index alone would put the stack axis innermost in memory;
+    C order gives every packed row unit stride, so a reduction over a row
+    sums in the same order for a stack as for a single matrix.
+    """
     matrix = np.asarray(matrix)
     rows, cols = _pair_indices(matrix.shape[-1])
-    return matrix[..., rows, cols]
+    return np.ascontiguousarray(matrix[..., rows, cols])
 
 
 def unpack(vec: np.ndarray, n: int) -> np.ndarray:

@@ -7,6 +7,13 @@ factorization isomorphisms are the induced slot permutations, so all
 diagram identities hold as exact matrix equalities), and states restrict
 by partial trace, the matrix realization of the embedding's adjoint.
 
+The identities of this system are checked in one place each:
+``embedding_residuals`` (unital, multiplicative, star, isometric,
+duality), ``tower_residual`` and ``net_residual``, on observables and
+states drawn by ``random_observable``, ``random_state``, ``dyadic_state``
+and ``random_state_field``.  The CLI's projective demo and acceptance
+criterion 9 both call them.
+
 An L^2 bridge ties the one-dimensional fiber to the invariant measure:
 there the density is 1/gamma on the positive half-line, and inner
 products are evaluated with composite Gauss-Legendre panels.
@@ -281,6 +288,94 @@ def pure_state_net(field: StateField, labels: list[Label]) -> dict[Label, StateD
             TensorSpace(label, dims), np.outer(psi, psi.conj())
         )
     return net
+
+
+def random_observable(space: TensorSpace, rng) -> Observable:
+    """Complex standard normal entries, scaled to largest modulus 1."""
+    D = space.total_dim
+    A = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    return Observable(space, A / np.max(np.abs(A)))
+
+
+def random_state(space: TensorSpace, rng) -> StateDensity:
+    """A A^* over its trace, with A complex standard normal."""
+    D = space.total_dim
+    A = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    M = A @ A.conj().T
+    return StateDensity(space, M / np.trace(M).real)
+
+
+def dyadic_state(space: TensorSpace, rng) -> StateDensity:
+    """Random density matrix whose entries are short dyadics (exactly summable)."""
+    D = space.total_dim
+    if D == 1:
+        return StateDensity(space, np.eye(1, dtype=complex))
+    cuts = np.sort(rng.choice(np.arange(1, 64), size=D - 1, replace=False))
+    parts = np.diff(np.concatenate(([0], cuts, [64])))
+    mat = np.diag(parts.astype(complex) / 64.0)
+    for i in range(D):
+        for j in range(i + 1, D):
+            # small dyadic off-diagonals keep the matrix diagonally dominant
+            mat[i, j] = complex(rng.integers(-3, 4), rng.integers(-3, 4)) / 32768.0
+            mat[j, i] = np.conjugate(mat[i, j])
+    return StateDensity(space, mat)
+
+
+def random_state_field(dims: dict, rng) -> StateField:
+    """A normalized complex standard normal vector per point, in ``dims`` order."""
+    vectors = {}
+    for point, d in dims.items():
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        vectors[point] = v / np.linalg.norm(v)
+    return StateField(vectors)
+
+
+def _max_abs(x: np.ndarray) -> float:
+    return float(np.max(np.abs(x)))
+
+
+def embedding_residuals(a: Observable, b: Observable, rho: StateDensity, dims: dict) -> dict:
+    """Residuals of iota into rho's label being a unital isometric *-homomorphism.
+
+    ``a`` and ``b`` live on a label below rho's.  The keys are 'unital',
+    'multiplicative' (iota(ab) against iota(a) iota(b)), 'star', 'isometric'
+    (operator 2-norms) and 'duality' (tr(pi(rho) a) against tr(rho iota(a))).
+    """
+    space, label_prime = a.space, rho.space.label
+    iota_one = embed_observable(Observable.identity(space), label_prime, dims).matrix
+    iota_a = embed_observable(a, label_prime, dims).matrix
+    iota_b = embed_observable(b, label_prime, dims).matrix
+    iota_ab = embed_observable(Observable(space, a.matrix @ b.matrix), label_prime, dims).matrix
+    iota_a_star = embed_observable(Observable(space, a.matrix.conj().T), label_prime, dims).matrix
+    restricted = restrict_state(rho, space.label).matrix
+    return {
+        "unital": _max_abs(iota_one - np.eye(len(iota_one))),
+        "multiplicative": _max_abs(iota_ab - iota_a @ iota_b),
+        "star": _max_abs(iota_a_star - iota_a.conj().T),
+        "isometric": float(abs(np.linalg.norm(iota_a, 2) - np.linalg.norm(a.matrix, 2))),
+        "duality": float(abs(np.trace(restricted @ a.matrix) - np.trace(rho.matrix @ iota_a))),
+    }
+
+
+def tower_residual(rho: StateDensity, chain) -> float:
+    """Restriction of rho to ``small`` directly against through ``middle``.
+
+    ``chain`` is (small, middle) with small < middle < rho's label; the
+    residual is the largest entry of the difference.
+    """
+    small, middle = chain
+    direct = restrict_state(rho, small).matrix
+    return _max_abs(direct - restrict_state(restrict_state(rho, middle), small).matrix)
+
+
+def net_residual(net: dict) -> float:
+    """Worst projective inconsistency of a state net over its nested label pairs."""
+    worst = 0.0
+    for small in net:
+        for big in net:
+            if small != big and small.issubset(big):
+                worst = max(worst, _max_abs(restrict_state(net[big], small).matrix - net[small].matrix))
+    return worst
 
 
 def rescale_isomorphism_check(

@@ -4,7 +4,9 @@ The seeds match what ``sigspace suite --seed 7`` uses, so this module and
 the CLI battery exercise identical experiments.  Criteria 2-5, 8, 10 and
 11 run on stacked arrays; they are checked here, at two suite seeds,
 against the pointwise loops over objects that they replace, and each
-stacked kernel against its object-level function.
+stacked kernel against its object-level function.  Criterion 9 calls the
+library's residual functions; it is checked the same way against its
+loop with every identity written out.
 """
 import json
 
@@ -16,20 +18,29 @@ from hypothesis import strategies as st
 
 from sigspace import (
     GroupElement,
+    Label,
+    Observable,
     PointChart,
     Signature,
+    StateField,
     SymmetricForm,
+    TensorSpace,
     act,
     action_jacobian,
     adjoint_determinant,
     density,
     density_closed_form,
+    embed_observable,
+    extend_state,
     field_density_at,
     inverse_form,
     isotropy_algebra_basis,
     lazy_smoothstep,
     make_ball_grid,
+    pure_state_net,
     random_form,
+    rescale_isomorphism_check,
+    restrict_state,
     signature_of,
     transitive_witness,
 )
@@ -57,6 +68,7 @@ from sigspace.measure import (
     pushforward_residual,
 )
 from sigspace.packing import congruence_jacobian
+from sigspace.projective import dyadic_state, random_observable, random_state
 from strategies import conditioned_forms, conditioned_groups
 
 SUITE_SEED = 7
@@ -92,7 +104,7 @@ class TestBudgetAndNumbersApart:
         assert "numbers" in result.line() and "budget" not in result.line()
 
 
-# -- the pointwise loops criteria 2-5, 8, 10 and 11 ran over objects -------
+# -- the pointwise loops criteria 2-5, 8, 9, 10 and 11 ran over objects ----
 
 
 def _group(rng, n, max_condition):
@@ -200,6 +212,75 @@ def _pointwise_10(rng):
     }
 
 
+def _pointwise_9(rng):
+    """Criterion 9 with every identity written out, on the library's draws."""
+    tol = 1e-12
+    worst = {
+        "unital": 0.0, "multiplicative": 0.0, "star": 0.0, "isometric": 0.0,
+        "duality": 0.0, "tower": 0.0, "surjective": 0.0, "net": 0.0, "rescale": 0.0,
+    }
+    for _ in range(10):
+        dims = {k: int(rng.integers(2, 4)) for k in (1, 2, 3)}
+        lam = Label({1, 2})
+        lam_prime = Label({1, 2, 3})
+        space = TensorSpace(lam, dims)
+        a = random_observable(space, rng)
+        b = random_observable(space, rng)
+
+        iota_one = embed_observable(Observable.identity(space), lam_prime, dims)
+        worst["unital"] = max(worst["unital"], float(np.max(np.abs(
+            iota_one.matrix - np.eye(iota_one.space.total_dim)
+        ))))
+        iota_a = embed_observable(a, lam_prime, dims).matrix
+        iota_b = embed_observable(b, lam_prime, dims).matrix
+        ab = Observable(space, a.matrix @ b.matrix)
+        worst["multiplicative"] = max(worst["multiplicative"], float(np.max(np.abs(
+            embed_observable(ab, lam_prime, dims).matrix - iota_a @ iota_b
+        ))))
+        a_star = Observable(space, a.matrix.conj().T)
+        worst["star"] = max(worst["star"], float(np.max(np.abs(
+            embed_observable(a_star, lam_prime, dims).matrix - iota_a.conj().T
+        ))))
+        worst["isometric"] = max(worst["isometric"], abs(
+            np.linalg.norm(iota_a, 2) - np.linalg.norm(a.matrix, 2)
+        ))
+
+        rho = random_state(TensorSpace(lam_prime, dims), rng)
+        worst["duality"] = max(worst["duality"], abs(
+            np.trace(restrict_state(rho, lam).matrix @ a.matrix)
+            - np.trace(rho.matrix @ iota_a)
+        ))
+
+        chain = (Label({1}), Label({1, 2}), Label({1, 2, 3}))
+        rho_d = dyadic_state(TensorSpace(chain[2], dims), rng)
+        direct = restrict_state(rho_d, chain[0]).matrix
+        composed = restrict_state(restrict_state(rho_d, chain[1]), chain[0]).matrix
+        worst["tower"] = max(worst["tower"], float(np.max(np.abs(direct - composed))))
+
+        target = random_state(space, rng)
+        back = restrict_state(extend_state(target, lam_prime, dims), lam)
+        worst["surjective"] = max(worst["surjective"], float(np.max(np.abs(
+            back.matrix - target.matrix
+        ))))
+
+        vectors = {}
+        for k in (1, 2, 3):
+            v = rng.standard_normal(dims[k]) + 1j * rng.standard_normal(dims[k])
+            vectors[k] = v / np.linalg.norm(v)
+        labels = [Label(s) for s in ({1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3})]
+        net = pure_state_net(StateField(vectors), labels)
+        for small in labels:
+            for big in labels:
+                if small != big and small.issubset(big):
+                    worst["net"] = max(worst["net"], float(np.max(np.abs(
+                        restrict_state(net[big], small).matrix - net[small].matrix
+                    ))))
+
+        for c in (0.5, 2.0, 4.0):
+            worst["rescale"] = max(worst["rescale"], rescale_isomorphism_check(c, a, lam, lam_prime, dims))
+    return {"max_residuals": worst, "tolerance": tol}
+
+
 def _deformed_pointwise(grid, target, eps=0.1):
     """The q of every point after deform_metric_field, one path(u) per point."""
     witness = transitive_witness(grid.point(0).q, target, positive_det=True)
@@ -248,7 +329,7 @@ def _pointwise_11(rng):
 
 @pytest.mark.parametrize("index,reference", [
     (2, _pointwise_2), (3, _pointwise_3), (4, _pointwise_4), (5, _pointwise_5),
-    (8, _pointwise_8), (10, _pointwise_10), (11, _pointwise_11),
+    (8, _pointwise_8), (9, _pointwise_9), (10, _pointwise_10), (11, _pointwise_11),
 ])
 def test_stacked_criteria_report_the_pointwise_numbers(index, reference):
     for suite_seed in (SUITE_SEED, 123):

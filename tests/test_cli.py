@@ -3,7 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from sigspace import SymmetricForm, make_ball_grid
+from sigspace import (
+    Label,
+    Observable,
+    StateDensity,
+    StateField,
+    SymmetricForm,
+    TensorSpace,
+    embed_observable,
+    make_ball_grid,
+    pure_state_net,
+    rescale_isomorphism_check,
+    restrict_state,
+)
 from sigspace.acceptance import CriterionResult
 from sigspace.cli import main
 
@@ -175,6 +187,74 @@ class TestDeformCommand:
         np.testing.assert_allclose(center["q"], [[4.0, 0.0], [0.0, 1.0]], atol=1e-9)
 
 
+def _projective_demo_reference(points, dim, seed, rescale_c=2.0):
+    """The residuals projective-demo computed with every identity written out."""
+    rng = np.random.default_rng(seed)
+    points = list(range(1, points + 1))
+    dims = {k: dim for k in points}
+    lam = Label(points[:-1])
+    lam_prime = Label(points)
+    space = TensorSpace(lam, dims)
+    D = space.total_dim
+
+    A = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    a = Observable(space, A / np.max(np.abs(A)))
+    B = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    b = Observable(space, B / np.max(np.abs(B)))
+    iota_a = embed_observable(a, lam_prime, dims)
+
+    iota_one = embed_observable(Observable.identity(space), lam_prime, dims)
+    unital = float(np.max(np.abs(iota_one.matrix - np.eye(iota_one.space.total_dim))))
+    multiplicative = float(np.max(np.abs(
+        embed_observable(Observable(space, a.matrix @ b.matrix), lam_prime, dims).matrix
+        - iota_a.matrix @ embed_observable(b, lam_prime, dims).matrix
+    )))
+    star = float(np.max(np.abs(
+        embed_observable(Observable(space, a.matrix.conj().T), lam_prime, dims).matrix
+        - iota_a.matrix.conj().T
+    )))
+    isometric = abs(np.linalg.norm(iota_a.matrix, 2) - np.linalg.norm(a.matrix, 2))
+
+    M = rng.standard_normal((iota_a.space.total_dim,) * 2) + 1j * rng.standard_normal(
+        (iota_a.space.total_dim,) * 2
+    )
+    M = M @ M.conj().T
+    rho = StateDensity(iota_a.space, M / np.trace(M).real)
+    duality = abs(
+        np.trace(restrict_state(rho, lam).matrix @ a.matrix)
+        - np.trace(rho.matrix @ iota_a.matrix)
+    )
+
+    chain = [Label(points[: k + 1]) for k in range(len(points))]
+    direct = restrict_state(rho, chain[0]).matrix
+    composed = restrict_state(restrict_state(rho, chain[1]), chain[0]).matrix
+    tower = float(np.max(np.abs(direct - composed)))
+
+    vectors = {}
+    for k in points:
+        v = rng.standard_normal(dims[k]) + 1j * rng.standard_normal(dims[k])
+        vectors[k] = v / np.linalg.norm(v)
+    net = pure_state_net(StateField(vectors), chain)
+    net_residual = 0.0
+    for small in chain:
+        for big in chain:
+            if small != big and small.issubset(big):
+                net_residual = max(net_residual, float(np.max(np.abs(
+                    restrict_state(net[big], small).matrix - net[small].matrix
+                ))))
+
+    return {
+        "unital": unital,
+        "multiplicative": multiplicative,
+        "star": star,
+        "isometric": isometric,
+        "duality": duality,
+        "tower": tower,
+        "net_consistency": net_residual,
+        "rescale": rescale_isomorphism_check(rescale_c, a, lam, lam_prime, dims),
+    }
+
+
 class TestProjectiveDemo:
     def test_demo_passes(self, capsys):
         code = main(["projective-demo", "--points", "3", "--dim", "2", "--seed", "1",
@@ -183,6 +263,23 @@ class TestProjectiveDemo:
         report = _read_report(capsys)
         for name, value in report["results"]["residuals"].items():
             assert value <= 1e-12, name
+
+    @pytest.mark.parametrize("points,dim", [(3, 2), (4, 2), (3, 3)])
+    @pytest.mark.parametrize("seed", [1, 29])
+    def test_residuals_equal_the_written_out_identities(self, points, dim, seed, capsys):
+        assert main(["projective-demo", "--points", str(points), "--dim", str(dim),
+                     "--seed", str(seed)]) == 0
+        report = _read_report(capsys)
+        reference = _projective_demo_reference(points, dim, seed)
+        assert report["results"]["residuals"] == reference
+        assert [check["name"] for check in report["checks"]] == list(reference)
+
+    @pytest.mark.parametrize("points", [0, 1, 2])
+    def test_fewer_than_three_points_is_input_error(self, points, capsys):
+        assert main(["projective-demo", "--points", str(points)]) == 2
+        error = _read_report(capsys)["error"]
+        assert error["type"] == "ValueError"
+        assert "--points" in error["message"]
 
 
 class TestSuiteCommand:

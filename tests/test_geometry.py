@@ -21,6 +21,7 @@ from sigspace import (
     random_form,
     signature_of,
 )
+from sigspace.geometry import metric_signature_law
 from sigspace.packing import congruence_jacobian, pack, packed_dim, packed_pairs, symmetric_basis, unpack
 from strategies import conditioned_forms, conditioned_groups
 
@@ -196,6 +197,12 @@ class TestMetricSignature:
                 S = random_form(sig, rng, max_condition=50)
                 assert metric_signature(S) == expected
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=conditioned_forms(max_log_cond=4.0))
+    def test_law_property(self, case):
+        S, sig, _ = case
+        assert metric_signature(SymmetricForm(S)) == metric_signature_law(sig)
+
 
 class TestOneForm:
     def test_identity_base_point(self):
@@ -249,6 +256,18 @@ class TestDeformedMetric:
         sig = signature_of(SymmetricForm(deformed_metric(S, -1.0).components))
         assert sig == Signature(2, 1)
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=conditioned_forms(max_log_cond=4.0))
+    def test_signature_jump_property(self, case):
+        # one positive direction of Q^a turns negative as a crosses a0 = -1/n
+        S, sig, _ = case
+        form = SymmetricForm(S)
+        a0 = -1.0 / form.n
+        law = metric_signature_law(sig)
+        below = signature_of(SymmetricForm(deformed_metric(form, 2.0 * a0).components), method="eigen")
+        above = signature_of(SymmetricForm(deformed_metric(form, 0.5 * a0).components), method="eigen")
+        assert (below, above) == (Signature(law.p - 1, law.p_prime + 1), law)
+
 
 class TestQinvAlphaAlpha:
     def test_scalar_value(self):
@@ -265,6 +284,20 @@ class TestQinvAlphaAlpha:
         for _ in range(10):
             S = random_form(Signature(1, 3), rng, max_condition=30)
             assert abs(qinv_alpha_alpha(S) - 4.0) < 1e-8
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=conditioned_forms(max_log_cond=3.0))
+    def test_contraction_and_degenerate_a0_property(self, case):
+        # criterion 5's tolerances; the determinant ratio is taken from
+        # log-determinants, since det Q overflows at the outer scales.  Its
+        # rounding grows like eps cond(S)^2: at cond(S) = 10^3.5 it reaches 1.6e-10
+        S, _, _ = case
+        form = SymmetricForm(S)
+        n = form.n
+        assert abs(qinv_alpha_alpha(form) - n) / n < 1e-8
+        _, log_q = np.linalg.slogdet(metric_components(form).components)
+        _, log_a0 = np.linalg.slogdet(deformed_metric(form, -1.0 / n).components)
+        assert np.exp(log_a0 - log_q) < 1e-10
 
 
 class TestPullbackInvariance:

@@ -24,25 +24,12 @@ from sigspace import (
     rescale_isomorphism_check,
     restrict_state,
 )
-from sigspace.acceptance import _dyadic_state
+from sigspace.projective import dyadic_state, random_observable, random_state
 
 
 def _space(ids, d=2):
     label = Label(ids)
     return TensorSpace(label, {k: d for k in label.ids})
-
-
-def _random_observable(space, rng):
-    D = space.total_dim
-    A = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-    return Observable(space, A / np.max(np.abs(A)))
-
-
-def _random_state(space, rng):
-    D = space.total_dim
-    A = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-    M = A @ A.conj().T
-    return StateDensity(space, M / np.trace(M).real)
 
 
 class TestLabels:
@@ -90,7 +77,7 @@ class TestEmbedObservable:
     def test_composition_is_exact(self):
         rng = np.random.default_rng(0)
         dims = {1: 2, 2: 3, 3: 2}
-        a = _random_observable(TensorSpace(Label({2}), dims), rng)
+        a = random_observable(TensorSpace(Label({2}), dims), rng)
         lam_mid, lam_top = Label({1, 2}), Label({1, 2, 3})
         direct = embed_observable(a, lam_top, dims).matrix
         composed = embed_observable(embed_observable(a, lam_mid, dims), lam_top, dims).matrix
@@ -101,8 +88,8 @@ class TestEmbedObservable:
         dims = {1: 2, 2: 2, 3: 3}
         space = TensorSpace(Label({1, 3}), dims)
         lam_prime = Label({1, 2, 3})
-        a = _random_observable(space, rng)
-        b = _random_observable(space, rng)
+        a = random_observable(space, rng)
+        b = random_observable(space, rng)
         ia = embed_observable(a, lam_prime, dims).matrix
         ib = embed_observable(b, lam_prime, dims).matrix
         iab = embed_observable(Observable(space, a.matrix @ b.matrix), lam_prime, dims).matrix
@@ -118,7 +105,7 @@ class TestEmbedObservable:
 
     def test_equal_label_is_identity_map(self):
         rng = np.random.default_rng(2)
-        a = _random_observable(_space({1, 2}), rng)
+        a = random_observable(_space({1, 2}), rng)
         again = embed_observable(a, Label({1, 2}), {1: 2, 2: 2})
         assert np.array_equal(again.matrix, a.matrix)
 
@@ -127,8 +114,8 @@ class TestRestrictState:
     def test_product_state(self):
         rng = np.random.default_rng(3)
         dims = {1: 2, 2: 3}
-        rho1 = _random_state(TensorSpace(Label({1}), dims), rng)
-        rho2 = _random_state(TensorSpace(Label({2}), dims), rng)
+        rho1 = random_state(TensorSpace(Label({1}), dims), rng)
+        rho2 = random_state(TensorSpace(Label({2}), dims), rng)
         product = StateDensity(
             TensorSpace(Label({1, 2}), dims), np.kron(rho1.matrix, rho2.matrix)
         )
@@ -146,8 +133,8 @@ class TestRestrictState:
         rng = np.random.default_rng(4)
         dims = {1: 2, 2: 3, 3: 2}
         lam, lam_prime = Label({2, 3}), Label({1, 2, 3})
-        a = _random_observable(TensorSpace(lam, dims), rng)
-        rho = _random_state(TensorSpace(lam_prime, dims), rng)
+        a = random_observable(TensorSpace(lam, dims), rng)
+        rho = random_state(TensorSpace(lam_prime, dims), rng)
         lhs = np.trace(restrict_state(rho, lam).matrix @ a.matrix)
         rhs = np.trace(rho.matrix @ embed_observable(a, lam_prime, dims).matrix)
         assert abs(lhs - rhs) < 1e-12
@@ -164,8 +151,8 @@ class TestRestrictState:
         dims = {k: data.draw(st.integers(1, 3)) for k in sorted(ids)}
         lam, lam_prime = Label(kept), Label(ids)
         rng = np.random.default_rng(seed)
-        a = _random_observable(TensorSpace(lam, dims), rng)
-        rho = _random_state(TensorSpace(lam_prime, dims), rng)
+        a = random_observable(TensorSpace(lam, dims), rng)
+        rho = random_state(TensorSpace(lam_prime, dims), rng)
         lhs = np.trace(restrict_state(rho, lam).matrix @ a.matrix)
         rhs = np.trace(rho.matrix @ embed_observable(a, lam_prime, dims).matrix)
         D = TensorSpace(lam_prime, dims).total_dim
@@ -174,7 +161,7 @@ class TestRestrictState:
     def test_tower_consistency_generic(self):
         rng = np.random.default_rng(5)
         dims = {1: 2, 2: 3, 3: 2, 4: 2}
-        rho = _random_state(TensorSpace(Label({1, 2, 3, 4}), dims), rng)
+        rho = random_state(TensorSpace(Label({1, 2, 3, 4}), dims), rng)
         direct = restrict_state(rho, Label({2})).matrix
         composed = restrict_state(
             restrict_state(rho, Label({2, 4})), Label({2})
@@ -187,7 +174,7 @@ class TestRestrictState:
         rng = np.random.default_rng(6)
         dims = {1: 3, 2: 2, 3: 3}
         for _ in range(10):
-            rho = _dyadic_state(TensorSpace(Label({1, 2, 3}), dims), rng)
+            rho = dyadic_state(TensorSpace(Label({1, 2, 3}), dims), rng)
             direct = restrict_state(rho, Label({1})).matrix
             composed = restrict_state(restrict_state(rho, Label({1, 3})), Label({1})).matrix
             assert np.array_equal(direct, composed)
@@ -196,14 +183,14 @@ class TestRestrictState:
         rng = np.random.default_rng(7)
         dims = {1: 2, 2: 2, 3: 3}
         lam, lam_prime = Label({1, 2}), Label({1, 2, 3})
-        target = _random_state(TensorSpace(lam, dims), rng)
+        target = random_state(TensorSpace(lam, dims), rng)
         extended = extend_state(target, lam_prime, dims)
         back = restrict_state(extended, lam)
         assert np.max(np.abs(back.matrix - target.matrix)) < 1e-12
 
     def test_not_contained(self):
         rng = np.random.default_rng(8)
-        rho = _random_state(_space({1, 2}), rng)
+        rho = random_state(_space({1, 2}), rng)
         with pytest.raises(LabelNotContained):
             restrict_state(rho, Label({3}))
 
@@ -261,24 +248,24 @@ class TestPureStateNet:
 class TestRescale:
     def test_trivial_constant(self):
         rng = np.random.default_rng(10)
-        a = _random_observable(_space({1, 2}), rng)
+        a = random_observable(_space({1, 2}), rng)
         assert rescale_isomorphism_check(1.0, a, Label({1, 2}), Label({1, 2, 3}), {1: 2, 2: 2, 3: 2}) == 0.0
 
     def test_power_of_two_constant_is_exact(self):
         rng = np.random.default_rng(11)
-        a = _random_observable(_space({1, 2}), rng)
+        a = random_observable(_space({1, 2}), rng)
         res = rescale_isomorphism_check(4.0, a, Label({1, 2}), Label({1, 2, 3}), {1: 2, 2: 2, 3: 2})
         assert res == 0.0
 
     def test_generic_constant(self):
         rng = np.random.default_rng(12)
-        a = _random_observable(_space({1, 3}), rng)
+        a = random_observable(_space({1, 3}), rng)
         res = rescale_isomorphism_check(2.5, a, Label({1, 3}), Label({1, 2, 3}), {1: 2, 2: 3, 3: 2})
         assert res < 1e-12
 
     def test_rejects_nonpositive(self):
         rng = np.random.default_rng(13)
-        a = _random_observable(_space({1}), rng)
+        a = random_observable(_space({1}), rng)
         with pytest.raises(ValueError):
             rescale_isomorphism_check(0.0, a, Label({1}), Label({1, 2}), {1: 2, 2: 2})
 
