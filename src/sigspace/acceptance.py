@@ -19,6 +19,8 @@ Criteria 3, 6, 9 and 11 take their identities from the library
 draws, ``field.deformation_residuals``), the same code the CLI calls.  A
 result says apart whether the numbers passed (``numeric_passed``) and
 whether the criterion ran within its time budget (``within_budget``).
+Every worst residual is taken by ``_worst``, which keeps a NaN, so a NaN
+residual fails its criterion instead of reading as 0.0.
 """
 from __future__ import annotations
 
@@ -71,6 +73,7 @@ from .measure import (
     density,
     density_from_metric,
     invariance_experiment,
+    natural_density,
     printed_density_n2,
     pushforward_residual,
     radial_bump,
@@ -144,6 +147,11 @@ def _all_signatures(n):
     return [Signature(p, n - p) for p in range(n, -1, -1)]
 
 
+def _worst(worst: float, residuals) -> float:
+    """The largest of worst and the residuals; NaN when one is NaN, so a NaN residual fails."""
+    return float(np.max(residuals, initial=worst))
+
+
 def _timed(index, name, budget_s, fn, seed):
     start = time.perf_counter()
     passed, details = fn(np.random.default_rng(seed))
@@ -166,7 +174,7 @@ def criterion_1_density_n1(seed=0) -> CriterionResult:
         worst = 0.0
         for gamma in gammas:
             got = density(SymmetricForm([[gamma]])).value
-            worst = max(worst, abs(got - 1.0 / abs(gamma)) * abs(gamma))
+            worst = _worst(worst, abs(got - 1.0 / abs(gamma)) * abs(gamma))
         return worst < 1e-12, {"max_relative_error": worst, "tolerance": 1e-12}
 
     return _timed(1, "closed-form density, n = 1", 1.0, run, seed)
@@ -184,7 +192,7 @@ def criterion_2_density_n2(seed=1) -> CriterionResult:
             inv = inverse_entries(S)
             direct = density_from_metric(_metric_from_inverse(inv))
             printed = printed_density_n2(inv)
-            worst = max(worst, float(np.max(np.abs(direct - printed) / direct)))
+            worst = _worst(worst, np.abs(direct - printed) / direct)
         return worst < 1e-10, {"max_relative_error": worst, "tolerance": 1e-10}
 
     return _timed(2, "closed-form density, n = 2", 2.0, run, seed)
@@ -208,11 +216,16 @@ def criterion_3_q_signature(seed=2) -> CriterionResult:
 
 
 def criterion_4_invariance(seed=3) -> CriterionResult:
-    """Metric pullback and measure pushforward residuals < 1e-8 relative."""
+    """Metric pullback and measure pushforward residuals < 1e-8 relative.
+
+    Also sqrt|det Q| against the closed-form density, < 1e-10 relative, on
+    the same forms, which cover every signature for n = 1..4.
+    """
 
     def run(rng):
         worst_metric = 0.0
         worst_measure = 0.0
+        worst_closed_form = 0.0
         for n in range(1, 5):
             forms, groups = [], []
             for _ in range(250):
@@ -226,18 +239,18 @@ def criterion_4_invariance(seed=3) -> CriterionResult:
             Q_moved = _metric_from_inverse(inverse_entries(act_entries(ginv, S)))
             here = density_from_metric(Q)
             q_scale = np.max(np.abs(Q), axis=(-2, -1))
-            worst_metric = max(
-                worst_metric, float(np.max(pullback_residual(L, Q_moved, Q) / q_scale))
-            )
-            worst_measure = max(
-                worst_measure,
-                float(np.max(pushforward_residual(L, density_from_metric(Q_moved), here) / here)),
-            )
-        passed = worst_metric < 1e-8 and worst_measure < 1e-8
+            worst_metric = _worst(worst_metric, pullback_residual(L, Q_moved, Q) / q_scale)
+            worst_measure = _worst(worst_measure, pushforward_residual(L, density_from_metric(Q_moved), here) / here)
+            # the paper's sqrt|det Q| against the closed form every other route takes
+            closed = natural_density(S)
+            worst_closed_form = _worst(worst_closed_form, np.abs(here - closed) / closed)
+        passed = worst_metric < 1e-8 and worst_measure < 1e-8 and worst_closed_form < 1e-10
         return passed, {
             "max_metric_residual": worst_metric,
             "max_measure_residual": worst_measure,
             "tolerance": 1e-8,
+            "max_closed_form_error": worst_closed_form,
+            "closed_form_tolerance": 1e-10,
         }
 
     return _timed(4, "metric/measure invariance, n <= 4", 10.0, run, seed)
@@ -258,10 +271,10 @@ def criterion_5_alpha_contraction(seed=4) -> CriterionResult:
             inv = inverse_entries(form_entries(forms))
             Q = _metric_from_inverse(inv)
             alpha = one_form_from_inverse(inv)
-            worst_qinv = max(worst_qinv, float(np.max(np.abs(contraction(Q, alpha) - n) / n)))
+            worst_qinv = _worst(worst_qinv, np.abs(contraction(Q, alpha) - n) / n)
             det_q = np.abs(np.linalg.det(Q))
             det_a0 = np.abs(np.linalg.det(deformed_from(Q, alpha, a0)))
-            worst_det = max(worst_det, float(np.max(det_a0 / det_q)))
+            worst_det = _worst(worst_det, det_a0 / det_q)
         passed = worst_qinv < 1e-8 and worst_det < 1e-10
         return passed, {
             "max_qinv_error": worst_qinv,
@@ -356,13 +369,13 @@ def criterion_8_unimodularity(seed=7) -> CriterionResult:
             basis = [np.eye(n)[:, [i]] @ np.eye(n)[[j], :] for i in range(n) for j in range(n)]
             g = group_entries([_random_group_entries(rng, n) for _ in range(200)])
             dets = adjoint_determinants(g, np.linalg.inv(g), basis)
-            worst = max(worst, float(np.max(np.abs(np.abs(dets) - 1.0))))
+            worst = _worst(worst, np.abs(np.abs(dets) - 1.0))
         for eta_diag in ([1.0, -1.0], [1.0, 1.0], [1.0, 1.0, -1.0]):
             basis = isotropy_algebra_basis(np.diag(eta_diag))
             coeffs = rng.uniform(-1.0, 1.0, size=(200, len(basis)))
             h = group_entries(sla.expm(sum(c[:, None, None] * X for c, X in zip(coeffs.T, basis))))
             dets = adjoint_determinants(h, np.linalg.inv(h), basis)
-            worst = max(worst, float(np.max(np.abs(np.abs(dets) - 1.0))))
+            worst = _worst(worst, np.abs(np.abs(dets) - 1.0))
         return worst < 1e-8, {"max_deviation": worst, "tolerance": 1e-8}
 
     return _timed(8, "unimodularity spot-checks", 5.0, run, seed)
@@ -390,11 +403,11 @@ def criterion_9_projective(seed=8) -> CriterionResult:
             back = restrict_state(extend_state(target, lam_prime, dims), lam)
             measured["surjective"] = float(np.max(np.abs(back.matrix - target.matrix)))
             measured["net"] = net_residual(pure_state_net(random_state_field(dims, rng), labels))
-            measured["rescale"] = max(
-                rescale_isomorphism_check(c, a, lam, lam_prime, dims) for c in (0.5, 2.0, 4.0)
+            measured["rescale"] = _worst(
+                0.0, [rescale_isomorphism_check(c, a, lam, lam_prime, dims) for c in (0.5, 2.0, 4.0)]
             )
             for key, value in measured.items():
-                worst[key] = max(worst.get(key, 0.0), value)
+                worst[key] = _worst(worst.get(key, 0.0), value)
         passed = worst["tower"] == 0.0 and all(
             v <= tol for k, v in worst.items() if k != "tower"
         )
@@ -419,9 +432,7 @@ def criterion_10_measure_field(seed=9) -> CriterionResult:
 
                 l = PointChart("x", _random_group(rng, n, cond).entries)
                 l_prime = PointChart("x", _random_group(rng, n, cond).entries)
-                worst_frame = max(
-                    worst_frame, frame_independence_residual(l, l_prime, samples)
-                )
+                worst_frame = _worst(worst_frame, frame_independence_residual(l, l_prime, samples))
 
                 l1 = PointChart(1, _random_group(rng, n, cond).entries)
                 step = _random_group(rng, n, cond).entries
@@ -430,7 +441,7 @@ def criterion_10_measure_field(seed=9) -> CriterionResult:
                 direct = transported_density(l2, first)
                 by_l1 = lambda P: transported_density(l1, P)
                 two_step = transported_density(PointChart(2, step), first, base=by_l1)
-                worst_comp = max(worst_comp, float(np.max(np.abs(direct - two_step) / direct)))
+                worst_comp = _worst(worst_comp, np.abs(direct - two_step) / direct)
 
                 charts = {
                     k: PointChart(k, _random_group(rng, n, cond).entries) for k in range(5)
@@ -439,10 +450,7 @@ def criterion_10_measure_field(seed=9) -> CriterionResult:
                 chi = DiffeoJacobianField(
                     {k: (int(perm[k]), _random_group(rng, n, cond).entries) for k in range(5)}
                 )
-                worst_diffeo = max(
-                    worst_diffeo,
-                    diffeo_invariance_residual(charts, chi, samples[:20]),
-                )
+                worst_diffeo = _worst(worst_diffeo, diffeo_invariance_residual(charts, chi, samples[:20]))
         passed = worst_frame < 1e-9 and worst_comp < 1e-9 and worst_diffeo < 1e-8
         return passed, {
             "max_frame_residual": worst_frame,
@@ -470,7 +478,7 @@ def criterion_11_deformation(seed=10) -> CriterionResult:
             # grid construction revalidates every point's signature
             deformed = deform_metric_field(grid, 0, target)
             center, changed = deformation_residuals(grid, deformed, 0, target)
-            worst_center = max(worst_center, center)
+            worst_center = _worst(worst_center, center)
             exterior_changed += changed
         details["max_center_residual"] = worst_center
         details["exterior_points_changed"] = exterior_changed

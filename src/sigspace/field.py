@@ -55,17 +55,18 @@ def _on_stack(base_density):
     ).reshape(P.shape[:-2])
 
 
-def transported_density(chart: PointChart, forms: np.ndarray, base=measure.natural_density) -> np.ndarray:
+def transported_density(chart: PointChart, forms: np.ndarray, base=None) -> np.ndarray:
     """field_density_at(chart, S) per stacked coordinate matrix S.
 
-    ``base`` maps a stack of coordinate matrices to densities.  The frame
+    ``base`` maps a stack of coordinate matrices to densities, by default
+    measure.natural_density, looked up at call time.  The frame
     is inverted once, the preimages are one stacked congruence, checked as
     SymmetricForm checks them, and the inverse coordinate map has one
     |det|.
     """
     l_inv = np.linalg.inv(chart.frame)
     preimages = form_entries(congruence(l_inv, forms))
-    return base(preimages) * abs(np.linalg.det(congruence_jacobian(l_inv)))
+    return (base or measure.natural_density)(preimages) * abs(np.linalg.det(congruence_jacobian(l_inv)))
 
 
 def field_density_at(chart: PointChart, S_on_x: SymmetricForm, base_density=None) -> float:
@@ -129,7 +130,7 @@ def diffeo_invariance_residual(
     congruence by J.  Invariance means this equals the x-density.
     """
     base = _on_stack(base_density)
-    worst = 0.0
+    residuals = []
     for point, (image, jac) in chi.mapping.items():
         if point not in charts or image not in charts:
             raise PointNotInField(f"chi maps {point!r} -> {image!r} outside the field")
@@ -138,8 +139,8 @@ def diffeo_invariance_residual(
         pulled = form_entries(congruence(jac, S))
         transformed = transported_density(charts[point], pulled, base) * jac_det
         direct = transported_density(charts[image], S, base)
-        worst = max(worst, _worst_relative(transformed, direct))
-    return worst
+        residuals.append(_worst_relative(transformed, direct))
+    return float(np.max(residuals, initial=0.0))
 
 
 @dataclass(frozen=True)

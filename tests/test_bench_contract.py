@@ -3,11 +3,11 @@
 The tracer wraps sigspace module attributes by name, private kernels
 included, from outside the package.  Renaming one of them, or routing a
 command around it, would silently empty a per-layer metric; this test
-installs the tracer, runs a density and an mc command through it, checks
-that every traced layer recorded a span, and uninstalls it again.  A
-second run deforms a small grid through the tracer: its point counters
-rely on deform_metric_field returning a grid whose untouched points are
-the input's own objects.
+installs the tracer, runs a density, a metric and an mc command through
+it, checks that every traced layer recorded a span, and uninstalls it
+again.  A second run deforms a small grid through the tracer: its point
+counters rely on deform_metric_field returning a grid whose untouched
+points are the input's own objects.
 """
 import importlib.util
 import json
@@ -52,6 +52,7 @@ def test_tracer_wraps_every_traced_name_and_restores_it(tmp_path):
         for key in TRACED_PRIVATE:
             assert getattr(*key) is not originals[key], key[1]
         assert cli.main(["density", "--in", str(form), "--out", str(tmp_path / "density_report.json")]) == 0
+        assert cli.main(["metric", "--in", str(form), "--out", str(tmp_path / "metric_report.json")]) == 0
         assert cli.main(["mc", "--config", str(config), "--seed", "3", "--samples", "2000",
                          "--out", str(tmp_path / "mc_report.json")]) == 0
     finally:

@@ -34,6 +34,7 @@ from sigspace.measure import (
     _ldl_certificate,
     _signature_mask,
     density_from_metric,
+    natural_density,
 )
 from sigspace.packing import congruence_jacobian, pack, unpack
 from strategies import conditioned_forms, conditioned_groups
@@ -44,6 +45,12 @@ def _random_group(rng, n, max_cond=10.0):
         g = rng.standard_normal((n, n))
         if abs(np.linalg.det(g)) > 1e-3 and np.linalg.cond(g) < max_cond:
             return GroupElement(g)
+
+
+def _near_degenerate(smallest):
+    """The form of eigenvalues (1, -0.5, smallest) in a fixed random orthonormal frame."""
+    rotation, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+    return SymmetricForm((rotation * np.array([1.0, -0.5, smallest])) @ rotation.T)
 
 
 class TestDensity:
@@ -66,7 +73,7 @@ class TestDensity:
             p = int(rng.integers(0, n + 1))
             S = random_form(Signature(p, n - p), rng, max_condition=10)
             expected = 2.0 ** (n * (n - 1) / 4.0) * abs(np.linalg.det(S.entries)) ** (-(n + 1) / 2.0)
-            assert abs(density(S).value - expected) < 1e-8 * expected
+            assert abs(density_from_metric(metric_components(S).components) - expected) < 1e-8 * expected
 
     @pytest.mark.parametrize("scale", [1e8, 1e-8])
     def test_density_beyond_the_range_of_det_q(self, scale):
@@ -80,10 +87,25 @@ class TestDensity:
         expected = _density_batch(np.linalg.eigvalsh(S.entries)[None, :])[0]
         assert abs(got - expected) <= 1e-12 * expected
 
-    def test_representable_det_keeps_its_bits(self):
-        S = random_form(Signature(2, 2), 4, max_condition=10)
-        Q = metric_components(S).components
-        assert density(S).value == float(np.sqrt(abs(np.linalg.det(Q))))
+    def test_near_degenerate_form_keeps_its_digits(self):
+        # cond(S) = 2e8: the closed form loses about cond(S) u per eigenvalue,
+        # while det Q of the 6 x 6 metric, cond(Q) ~ cond(S)^2, is off by
+        # 3.9e-3 on this form; the reference is the exact det of the entries
+        S = _near_degenerate(1e-8)
+        (a, b, c), (_, d, e), (_, _, f) = ([Fraction(x) for x in row] for row in S.entries)
+        det = a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)
+        exact = 2.0 ** 1.5 / float(det * det)
+        assert abs(density(S).value - exact) <= 1e-8 * exact
+
+    def test_every_form_the_filter_accepts_has_a_density(self):
+        # cond(S) = 2e9 passes the degeneracy test, and the Monte-Carlo filter
+        # accepts the form; the density needs no inverse, whose residual
+        # check rejects this form
+        S = _near_degenerate(1e-9)
+        accept, diag = _signature_mask(pack(S.entries)[None, :], Signature(2, 1), DEGENERACY_RTOL)
+        assert accept[0]
+        # each route loses about cond(S) u = 2.2e-7 per eigenvalue
+        assert density(S).value == pytest.approx(_density_batch(diag)[0], rel=1e-6)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_batch_route_matches_metric_route(self, n):
@@ -96,7 +118,7 @@ class TestDensity:
             accept, diag = _signature_mask(pack(np.array([S.entries for S in forms])), sig, DEGENERACY_RTOL)
             assert accept.all()
             batch = _density_batch(diag)
-            pointwise = np.array([density(S).value for S in forms])
+            pointwise = np.array([density_from_metric(metric_components(S).components) for S in forms])
             np.testing.assert_allclose(batch, pointwise, rtol=1e-10, atol=0.0)
 
 
@@ -198,7 +220,7 @@ class TestFilterProperties:
         S, sig, cond = case
         accept, diag = _signature_mask(pack(S)[None, :], sig, DEGENERACY_RTOL)
         assert accept[0]
-        want = density(SymmetricForm(S)).value
+        want = density_from_metric(metric_components(SymmetricForm(S)).components)
         tol = 1e-10 + 64.0 * len(pack(S)) * np.finfo(float).eps * cond**2
         assert abs(_density_batch(diag)[0] - want) <= tol * want
 
@@ -209,7 +231,7 @@ class TestDensityClosedForm:
 
     def test_agrees_with_determinant_route(self):
         S = SymmetricForm([[2.0, 1.0], [1.0, 2.0]])
-        direct = density(S).value
+        direct = density_from_metric(metric_components(S).components)
         assert abs(density_closed_form(S).value - direct) < 1e-10 * direct
 
     def test_unsupported_dimension(self):
@@ -579,8 +601,7 @@ class TestDensityValue:
     @settings(max_examples=60, deadline=None)
     @given(case=conditioned_forms(max_log_cond=4.0))
     def test_scalar_density_is_the_stacked_value(self, case):
-        # density takes its value on Python floats, density_from_metric on arrays
         S = SymmetricForm(case[0])
         value = density(S).value
         assert type(value) is float
-        _assert_same_bits(value, float(density_from_metric(metric_components(S).components)))
+        _assert_same_bits(value, float(natural_density(S.entries)))
