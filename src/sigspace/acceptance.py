@@ -321,8 +321,7 @@ def criterion_7_mc_invariance(seed=6) -> CriterionResult:
         bump1 = radial_bump([1.5], 0.45)
         box1 = BoxDomain(Signature(1, 0), [1.0], [2.0])
         report1 = invariance_experiment(
-            bump1, GroupElement([[2.0]]), box1, int(rng.integers(2**31)), n_samples,
-            vectorized=True,
+            bump1, GroupElement([[2.0]]), box1, int(rng.integers(2**31)), n_samples
         )
         analytic, quad_err = scipy.integrate.quad(
             lambda g: bump1(np.array([[g]]))[0] / g, 1.05, 1.95, epsabs=1e-13
@@ -341,8 +340,7 @@ def criterion_7_mc_invariance(seed=6) -> CriterionResult:
             Signature(2, 0), [0.6, -0.35, 0.6], [1.4, 0.35, 1.4]
         )
         report2 = invariance_experiment(
-            bump2, GroupElement(np.diag([2.0, 1.0])), box2,
-            int(rng.integers(2**31)), n_samples, vectorized=True,
+            bump2, GroupElement(np.diag([2.0, 1.0])), box2, int(rng.integers(2**31)), n_samples
         )
         details["n2"] = {
             "estimate": report2.lhs.value,

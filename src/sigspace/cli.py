@@ -163,7 +163,7 @@ def _mc_pieces(config: dict, args):
 def _cmd_mc(args):
     config = _load_json(args.config)
     box, f, seed, n_samples = _mc_pieces(config, args)
-    est = mc_integrate(f, box, seed, n_samples, vectorized=True, threads=_threads())
+    est = mc_integrate(f, box, seed, n_samples, threads=_threads())
     results = {
         "estimate": est.value,
         "std_error": est.std_error,
@@ -181,7 +181,7 @@ def _cmd_mc(args):
             writer = csv.writer(handle)
             writer.writerow(["n_samples", "estimate", "std_error", "acceptance_rate"])
             for n in sweep:
-                e = mc_integrate(f, box, seed, n, vectorized=True, threads=_threads())
+                e = mc_integrate(f, box, seed, n, threads=_threads())
                 writer.writerow([n, repr(e.value), repr(e.std_error), repr(e.acceptance_rate)])
         results["csv"] = args.csv
     return results, []
@@ -191,9 +191,7 @@ def _cmd_invariance(args):
     config = _load_json(args.config)
     box, f, seed, n_samples = _mc_pieces(config, args)
     g = GroupElement(np.asarray(config["g"], dtype=float))
-    report = invariance_experiment(
-        f, g, box, seed, n_samples, vectorized=True, threads=_threads()
-    )
+    report = invariance_experiment(f, g, box, seed, n_samples, threads=_threads())
     results = {
         "estimate": report.lhs.value,
         "moved_estimate": report.rhs.value,

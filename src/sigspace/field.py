@@ -85,10 +85,7 @@ def _worst_relative(values: np.ndarray, reference: np.ndarray) -> float:
 
 
 def frame_independence_residual(
-    l: PointChart,
-    l_prime: PointChart,
-    sample_forms: list[SymmetricForm],
-    base_density=None,
+    l: PointChart, l_prime: PointChart, sample_forms: list[SymmetricForm]
 ) -> float:
     """max over samples of |density via l - density via l'| (relative).
 
@@ -96,8 +93,7 @@ def frame_independence_residual(
     contract is residual < 1e-9.
     """
     S = _forms_stack(sample_forms, l.frame.shape[0])
-    base = _on_stack(base_density)
-    return _worst_relative(transported_density(l_prime, S, base), transported_density(l, S, base))
+    return _worst_relative(transported_density(l_prime, S), transported_density(l, S))
 
 
 class DiffeoJacobianField:
@@ -117,10 +113,7 @@ class DiffeoJacobianField:
 
 
 def diffeo_invariance_residual(
-    charts: dict,
-    chi: DiffeoJacobianField,
-    sample_forms: list[SymmetricForm],
-    base_density=None,
+    charts: dict, chi: DiffeoJacobianField, sample_forms: list[SymmetricForm]
 ) -> float:
     """max relative residual of the transformed field against the original one.
 
@@ -129,7 +122,6 @@ def diffeo_invariance_residual(
     at a form S is the y-density at J^T S J times |det| of the packed
     congruence by J.  Invariance means this equals the x-density.
     """
-    base = _on_stack(base_density)
     residuals = []
     for point, (image, jac) in chi.mapping.items():
         if point not in charts or image not in charts:
@@ -137,8 +129,8 @@ def diffeo_invariance_residual(
         S = _forms_stack(sample_forms, jac.shape[0])
         jac_det = abs(np.linalg.det(congruence_jacobian(jac)))
         pulled = form_entries(congruence(jac, S))
-        transformed = transported_density(charts[point], pulled, base) * jac_det
-        direct = transported_density(charts[image], S, base)
+        transformed = transported_density(charts[point], pulled) * jac_det
+        direct = transported_density(charts[image], S)
         residuals.append(_worst_relative(transformed, direct))
     return float(np.max(residuals, initial=0.0))
 

@@ -3,8 +3,10 @@
 A scalar product is represented by its full n x n coordinate matrix in a
 fixed basis.  Signatures can be computed either from the signs of the
 leading principal minors or from an eigendecomposition; the minor route
-fails whenever a leading minor vanishes, so ``auto`` falls back to the
-eigenvalue count in that case.
+fails whenever a leading k x k minor vanishes (below MINOR_RTOL times
+max |gamma_ij|^k), so ``auto`` falls back to the eigenvalue count in that
+case.  Every tolerance is a module constant, the same for every caller:
+SYMMETRY_RTOL, DEGENERACY_RTOL, MINOR_RTOL and INVERSE_RTOL.
 
 A SymmetricForm computes three values on first use and keeps them for its
 lifetime: its eigenvalues (with max |gamma_ij|, the scale the degeneracy
@@ -12,7 +14,7 @@ check compares them against), its inverse (stored only once it passes the
 INVERSE_RTOL residual check), and the natural metric Q that
 ``geometry.metric_components`` builds from that inverse.  Every stored
 array is read-only.  The degeneracy check itself still runs on every call,
-against that call's ``degeneracy_rtol``; only the LAPACK work is done once.
+against DEGENERACY_RTOL; only the LAPACK work is done once.
 
 The object-level functions are thin wrappers over array kernels that also
 accept a stack (..., n, n) of coordinate matrices: ``form_entries`` (the
@@ -35,6 +37,9 @@ SYMMETRY_RTOL = 1e-12
 # Forms with an eigenvalue below this (relative to the largest entry) are
 # treated as degenerate, i.e. not scalar products.
 DEGENERACY_RTOL = 1e-10
+# signature_of(method="auto") leaves the minor rule for the eigenvalues
+# when some leading k x k minor is below this times max |gamma_ij|^k.
+MINOR_RTOL = 1e-10
 # Inverse must reproduce the identity to this residual.
 INVERSE_RTOL = 1e-9
 
@@ -142,8 +147,8 @@ def spectra(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigvalsh(entries), np.abs(entries).max(axis=(-2, -1))
 
 
-def check_spectra(eigs: np.ndarray, scale, rtol: float = DEGENERACY_RTOL, label=None) -> None:
-    """Raise DegenerateForm if some |eigenvalue| < rtol * max |gamma_ij|.
+def check_spectra(eigs: np.ndarray, scale, label=None) -> None:
+    """Raise DegenerateForm if some |eigenvalue| < DEGENERACY_RTOL * max |gamma_ij|.
 
     ``eigs`` and ``scale`` are as returned by ``spectra``.  This is the one
     degeneracy test; every pointwise and stacked routine applies it.  When
@@ -151,7 +156,7 @@ def check_spectra(eigs: np.ndarray, scale, rtol: float = DEGENERACY_RTOL, label=
     degenerate k.
     """
     smallest = np.abs(eigs).min(axis=-1)
-    degenerate = (scale == 0.0) | (smallest < rtol * scale)
+    degenerate = (scale == 0.0) | (smallest < DEGENERACY_RTOL * scale)
     if degenerate.any():
         first = np.flatnonzero(degenerate)[0]
         where = "" if label is None else f"{label(first)}: "
@@ -161,23 +166,24 @@ def check_spectra(eigs: np.ndarray, scale, rtol: float = DEGENERACY_RTOL, label=
         )
 
 
-def check_nondegenerate(S: SymmetricForm, rtol: float = DEGENERACY_RTOL) -> np.ndarray:
+def check_nondegenerate(S: SymmetricForm) -> np.ndarray:
     """Return the eigenvalues of S, raising DegenerateForm on a near-zero one.
 
-    Near zero means |eigenvalue| < rtol * max |gamma_ij| (see check_spectra).
+    Near zero means |eigenvalue| < DEGENERACY_RTOL * max |gamma_ij| (see
+    check_spectra).
     """
     eigs, scale = S.spectrum()
-    check_spectra(eigs, scale, rtol)
+    check_spectra(eigs, scale)
     return eigs
 
 
-def eigen_positive_counts(entries: np.ndarray, rtol: float = DEGENERACY_RTOL) -> np.ndarray:
+def eigen_positive_counts(entries: np.ndarray) -> np.ndarray:
     """p of the signature (p, n - p) of each stacked matrix, by eigenvalue signs.
 
     Applies the degeneracy test first, as signature_of(method="eigen") does.
     """
     eigs, scale = spectra(entries)
-    check_spectra(eigs, scale, rtol)
+    check_spectra(eigs, scale)
     return _positive_count(eigs)
 
 
@@ -195,31 +201,26 @@ def _leading_minors(entries: np.ndarray) -> np.ndarray:
     return np.array([np.linalg.det(entries[:k, :k]) for k in range(1, n + 1)])
 
 
-def signature_of(
-    S: SymmetricForm,
-    method: str = "auto",
-    degeneracy_rtol: float = DEGENERACY_RTOL,
-    minor_rtol: float = 1e-10,
-) -> Signature:
+def signature_of(S: SymmetricForm, method: str = "auto") -> Signature:
     """Signature (p, p') of a nondegenerate symmetric form.
 
     ``minors`` evaluates p' = n/2 - (1/2) sum_k sgn(m_k / m_{k-1}) with
     m_0 = 1 and m_k the leading principal k x k minors.  ``eigen`` counts
     the signs of the eigenvalues.  ``auto`` prefers minors and falls back
-    to eigenvalues when some |m_k| < minor_rtol * scale**k.
+    to eigenvalues when some |m_k| < MINOR_RTOL * scale**k.
 
     Raises DegenerateForm when the form is not a scalar product, and
     MinorBreakdown (method="minors" only) when a leading minor vanishes.
     """
     if method not in ("minors", "eigen", "auto"):
         raise ValueError(f"unknown method {method!r}")
-    eigs = check_nondegenerate(S, degeneracy_rtol)
+    eigs = check_nondegenerate(S)
     if method == "eigen":
         return _signature_from_eigs(eigs)
 
     scale = S.spectrum()[1]
     minors = _leading_minors(S.entries)
-    thresholds = minor_rtol * scale ** np.arange(1, S.n + 1)
+    thresholds = MINOR_RTOL * scale ** np.arange(1, S.n + 1)
     if np.any(np.abs(minors) < thresholds):
         if method == "minors":
             raise MinorBreakdown(
@@ -233,13 +234,13 @@ def signature_of(
     return Signature(S.n - p_prime_int, p_prime_int)
 
 
-def inverse_form(S: SymmetricForm, degeneracy_rtol: float = DEGENERACY_RTOL) -> InverseForm:
+def inverse_form(S: SymmetricForm) -> InverseForm:
     """Inverse coordinate matrix (gamma^ij), gamma^ik gamma_kj = delta^i_j.
 
     Computed and residual-checked once per form, then returned as stored;
-    the degeneracy check against ``degeneracy_rtol`` runs on every call.
+    the degeneracy check runs on every call.
     """
-    check_nondegenerate(S, degeneracy_rtol)
+    check_nondegenerate(S)
     inverse = S._inverse
     if inverse is None:
         inverse = S._inverse = InverseForm(_checked_inverse(S.entries))
@@ -258,13 +259,13 @@ def _checked_inverse(entries: np.ndarray) -> np.ndarray:
     return inv
 
 
-def inverse_entries(entries: np.ndarray, degeneracy_rtol: float = DEGENERACY_RTOL) -> np.ndarray:
+def inverse_entries(entries: np.ndarray) -> np.ndarray:
     """inverse_form(S).entries for each stacked coordinate matrix S.
 
     Runs the same degeneracy test and inverse residual check, raising
     DegenerateForm as inverse_form does.
     """
-    check_spectra(*spectra(entries), degeneracy_rtol)
+    check_spectra(*spectra(entries))
     return symmetric_part(_checked_inverse(entries))
 
 

@@ -21,13 +21,16 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import NotInvariantSubspace, SignatureMismatch, SingularGroupElement
-from .forms import DEGENERACY_RTOL, SymmetricForm, check_nondegenerate, form_entries, signature_of
+from .forms import SymmetricForm, check_nondegenerate, form_entries, signature_of
 from .packing import congruence, congruence_jacobian
 
 # A matrix counts as singular when its smallest singular value is at most
 # this fraction of its largest (condition number 1e9 or more): past that
 # its inverse keeps too few digits for the 1e-8 invariance contracts.
 SINGULAR_RTOL = 1e-9
+# g X g^-1 counts as inside span(basis) when its least-squares residual is
+# at most this times max(1, max |g X g^-1|).
+ADJOINT_RTOL = 1e-8
 
 
 def is_singular(matrix):
@@ -141,9 +144,9 @@ def action_jacobian(g: GroupElement) -> np.ndarray:
     return L
 
 
-def orthonormal_basis(S: SymmetricForm, degeneracy_rtol: float = DEGENERACY_RTOL) -> OrthonormalFrame:
+def orthonormal_basis(S: SymmetricForm) -> OrthonormalFrame:
     """Frame B with B^T S B = diag(+1 x p, -1 x p'), +1 columns first."""
-    check_nondegenerate(S, degeneracy_rtol)
+    check_nondegenerate(S)
     d, U = np.linalg.eigh(S.entries)
     B = U / np.sqrt(np.abs(d))
     order = np.argsort(d <= 0.0, kind="stable")  # positive eigenvalues first
@@ -263,7 +266,7 @@ def connecting_path(
     return [SymmetricForm(entries) for entries in congruence(np.linalg.inv(xi), S.entries)]
 
 
-def adjoint_determinants(g: np.ndarray, ginv: np.ndarray, algebra_basis, rtol: float = 1e-8) -> np.ndarray:
+def adjoint_determinants(g: np.ndarray, ginv: np.ndarray, algebra_basis) -> np.ndarray:
     """adjoint_determinant per stacked pair (g, g^-1), for one basis.
 
     The basis rank is checked once.  g X g^-1 is built for every g and
@@ -284,7 +287,7 @@ def adjoint_determinants(g: np.ndarray, ginv: np.ndarray, algebra_basis, rtol: f
     Y = (g @ np.stack(basis) @ ginv).reshape(-1, Bmat.shape[0]).T  # column (element, a)
     coeffs = np.linalg.lstsq(Bmat, Y, rcond=None)[0]
     residual = np.abs(Bmat @ coeffs - Y).max(axis=0)
-    outside = residual > rtol * np.maximum(1.0, np.abs(Y).max(axis=0))
+    outside = residual > ADJOINT_RTOL * np.maximum(1.0, np.abs(Y).max(axis=0))
     if outside.any():
         raise NotInvariantSubspace(
             f"g X g^-1 leaves span(basis): residual {residual[outside][0]:.3e}"
@@ -293,18 +296,14 @@ def adjoint_determinants(g: np.ndarray, ginv: np.ndarray, algebra_basis, rtol: f
     return np.linalg.det(M).reshape(lead)
 
 
-def adjoint_determinant(
-    g: GroupElement,
-    algebra_basis: list[np.ndarray],
-    rtol: float = 1e-8,
-) -> float:
+def adjoint_determinant(g: GroupElement, algebra_basis: list[np.ndarray]) -> float:
     """det of X -> g X g^-1 expressed in the given Lie-algebra basis.
 
     The group is unimodular exactly when |det Ad| = 1 for all its
     elements.  Raises NotInvariantSubspace if conjugation leaves the span
-    of the basis (checked to ``rtol`` relative).
+    of the basis (checked to ADJOINT_RTOL relative).
     """
-    return float(adjoint_determinants(g.entries, g.inverse_entries(), algebra_basis, rtol))
+    return float(adjoint_determinants(g.entries, g.inverse_entries(), algebra_basis))
 
 
 def isotropy_algebra_basis(eta) -> list[np.ndarray]:

@@ -21,7 +21,8 @@ regardless of worker count.  Each chunk makes one pass per quantity: its
 standard uniforms are scaled to the box in place, which gives
 Generator.uniform(lower, upper)'s draws bit for bit; the filter runs once
 over the chunk; the densities take the product of the filter diagonal
-column by column, in np.prod's order; and the integrand sees the chunk
+column by column, in np.prod's order; and the integrand, which takes
+an (m, N) array of packed rows and returns m values, sees the chunk
 itself when every row passed, or its accepted rows, gathered once by
 index, otherwise.  The filter factors every sample as LDL^T,
 vectorised across the chunk on the packed coordinates; a backward-error
@@ -29,8 +30,8 @@ bound certifies the inertia (the signature, by Sylvester's law) and the
 distance from degeneracy of almost every row, and the rows it cannot
 certify (zero pivots, large growth, near-degenerate forms) are decided by
 their eigenvalues.  Either way the filter accepts exactly the rows the
-eigenvalue test accepts, for any degeneracy tolerance well above
-rounding (such as the default DEGENERACY_RTOL).
+eigenvalue test accepts at DEGENERACY_RTOL, as it would at any
+degeneracy tolerance well above rounding.
 """
 from __future__ import annotations
 
@@ -331,26 +332,22 @@ def _draw_chunk(lower: np.ndarray, upper: np.ndarray, seed: int, start: int, cou
     return coords
 
 
-def _chunk_sums(f, box, seed, start, count, vectorized, rtol):
+def _chunk_sums(f, box, seed, start, count):
     """(sum, sum of squares about the chunk mean, accepted count) of f * density.
 
     A chunk whose rows all pass the filter is evaluated as drawn; otherwise
     its accepted rows are gathered once, by index.
     """
     coords = _draw_chunk(box.lower, box.upper, seed, start, count)
-    accept, diag = _signature_mask(coords, box.signature, rtol)
+    accept, diag = _signature_mask(coords, box.signature, DEGENERACY_RTOL)
     accepted = int(np.count_nonzero(accept))
     vals = np.zeros(count)
     if accepted:
         rows = slice(None) if accepted == count else np.flatnonzero(accept)
         dens = _density_batch(diag[rows])
-        if vectorized:
-            fvals = np.asarray(f(coords[rows]), dtype=float)
-            if fvals.shape != (accepted,):
-                raise ValueError("vectorized integrand must return one value per row")
-        else:
-            mats = unpack(coords[rows], box.n)
-            fvals = np.array([float(f(SymmetricForm(m))) for m in mats])
+        fvals = np.asarray(f(coords[rows]), dtype=float)
+        if fvals.shape != (accepted,):
+            raise ValueError("integrand must return one value per row")
         dens *= fvals
         vals[rows] = dens
     total = float(np.sum(vals))
@@ -364,9 +361,7 @@ def mc_integrate(
     box: BoxDomain,
     rng_seed: int,
     n_samples: int,
-    vectorized: bool = False,
     threads: int | None = None,
-    degeneracy_rtol: float = DEGENERACY_RTOL,
 ) -> MCEstimate:
     """Monte-Carlo integral of f against the invariant measure over a box.
 
@@ -374,11 +369,11 @@ def mc_integrate(
     box signature; accepted samples contribute f * density, with the
     density taken in closed form from the filter's LDL^T pivots, or
     eigenvalues on the rows the LDL^T cannot certify (equal to
-    sqrt|det Q|, see the module docstring).  ``f`` takes
-    a SymmetricForm, or, with vectorized=True, an (m, N) array of packed
-    coordinates returning (m,) values.  Same seed, same estimate: samples
-    are drawn per fixed-size chunk from jumped Philox substreams and
-    reduced in chunk order, so the result is independent of ``threads``.
+    sqrt|det Q|, see the module docstring).  ``f`` takes an (m, N) array
+    of packed coordinates and returns (m,) values.  Same seed, same
+    estimate: samples are drawn per fixed-size chunk from jumped Philox
+    substreams and reduced in chunk order, so the result is independent
+    of ``threads``.
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
@@ -386,19 +381,9 @@ def mc_integrate(
     jobs = [(s, min(_CHUNK, n_samples - s)) for s in starts]
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(
-                    lambda job: _chunk_sums(
-                        f, box, rng_seed, job[0], job[1], vectorized, degeneracy_rtol
-                    ),
-                    jobs,
-                )
-            )
+            results = list(pool.map(lambda job: _chunk_sums(f, box, rng_seed, *job), jobs))
     else:
-        results = [
-            _chunk_sums(f, box, rng_seed, s, c, vectorized, degeneracy_rtol)
-            for s, c in jobs
-        ]
+        results = [_chunk_sums(f, box, rng_seed, s, c) for s, c in jobs]
     n_accepted = sum(r[2] for r in results)
     if n_accepted == 0:
         raise EmptyDomain("no sample passed the signature filter")
@@ -462,7 +447,6 @@ class InvarianceReport:
     difference: float
     combined_std_error: float
     difference_sigmas: float
-    passed: bool
 
 
 def invariance_experiment(
@@ -471,26 +455,21 @@ def invariance_experiment(
     box: BoxDomain,
     rng_seed: int,
     n_samples: int,
-    vectorized: bool = False,
     threads: int | None = None,
 ) -> InvarianceReport:
     """Compare int f dmu with int (f o g) dmu; they agree for invariant measures.
 
-    f must be compactly supported inside ``box``.  The composed integrand
-    is supported on the image of the box under g^-1, so it is integrated
-    over the bounding box of that image.  Passes when the difference is
-    below 3 combined standard errors.
+    f takes packed rows, as for mc_integrate, and must be compactly
+    supported inside ``box``.  The composed integrand is supported on the
+    image of the box under g^-1, so it is integrated over the bounding box
+    of that image.  The discrepancy is reported in combined standard
+    errors; judging it is left to the caller.
     """
-    lhs = mc_integrate(f, box, rng_seed, n_samples, vectorized=vectorized, threads=threads)
+    lhs = mc_integrate(f, box, rng_seed, n_samples, threads=threads)
     L_g = action_jacobian(g)
     moved_box = _linear_image_box(congruence_jacobian(g.entries), box)
-    if vectorized:
-        f_moved = lambda coords: f(coords @ L_g.T)
-    else:
-        f_moved = lambda S: f(act(g, S))
-    rhs = mc_integrate(
-        f_moved, moved_box, rng_seed, n_samples, vectorized=vectorized, threads=threads
-    )
+    f_moved = lambda coords: f(coords @ L_g.T)
+    rhs = mc_integrate(f_moved, moved_box, rng_seed, n_samples, threads=threads)
     diff = rhs.value - lhs.value
     combined = math.hypot(lhs.std_error, rhs.std_error)
     sigmas = diff / combined if combined > 0.0 else (0.0 if diff == 0.0 else math.inf)
@@ -500,5 +479,4 @@ def invariance_experiment(
         difference=diff,
         combined_std_error=combined,
         difference_sigmas=sigmas,
-        passed=abs(sigmas) < 3.0,
     )

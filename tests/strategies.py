@@ -13,7 +13,7 @@ from sigspace import GroupElement, Signature, SymmetricForm
 def near_degenerate_form():
     """A rotated (2, 1) form with min|lambda| / max|gamma_ij| of about 1e-6.
 
-    It passes the default DEGENERACY_RTOL (1e-10) and fails rtol = 1e-3.
+    It passes the degeneracy test, DEGENERACY_RTOL = 1e-10.
     """
     rotation, _ = np.linalg.qr(np.random.default_rng(17).standard_normal((3, 3)))
     return SymmetricForm((rotation * [1.0, -1e-6, 0.5]) @ rotation.T)

@@ -35,6 +35,13 @@ MUTANTS = {
     "density_exponent_minus_n_over_2": (
         measure, "_density_batch", _closed_form(lambda n: 2.0 ** (n * (n - 1) / 4.0), lambda n: -n / 2.0), 4,
     ),
+    # the moved integral taken over the original box, not over the image of the box under g^-1
+    "moved_box_not_moved": (measure, "_linear_image_box", lambda L, box: box, 7),
+    # a transformation law slightly off at n = 2: |det gamma|^(-1.45) in place of |det gamma|^(-3/2)
+    "density_exponent_off_at_n2": (
+        measure, "_density_batch",
+        _closed_form(lambda n: 2.0 ** (n * (n - 1) / 4.0), lambda n: -1.45 if n == 2 else -(n + 1) / 2.0), 7,
+    ),
 }
 
 
